@@ -10,7 +10,7 @@ import argparse
 import json
 import sys
 from dataclasses import dataclass
-from typing import Sequence
+from typing import Iterator, Sequence
 
 from .formula import symbols
 from .horn import HornFormula, HornImplication, NotHornError, Top, horn_from_clauses
@@ -54,8 +54,25 @@ def render_implication(imp: HornImplication) -> str:
     return f"{left} -> {display_atom(imp.consequent)}"
 
 
-def _render_set(atoms) -> str:
-    return "{" + ", ".join(sorted(display_atom(a) for a in atoms)) + "}"
+def _displayed(atoms) -> list[str]:
+    return sorted(display_atom(a) for a in atoms)
+
+
+def _displayed_steps(
+    steps: Sequence[TraceStep],
+) -> Iterator[tuple[TraceStep, list[str], list[str]]]:
+    """Yield each step with its sorted, displayed ``set_before`` and
+    ``set_after``.  A step's ``set_before`` is the previous step's
+    ``set_after``, so each set is built and sorted once."""
+    before = _displayed(steps[0].set_before) if steps else []
+    for step in steps:
+        after = _displayed(step.set_after)
+        yield step, before, after
+        before = after
+
+
+def _render_set(displayed: list[str]) -> str:
+    return "{" + ", ".join(displayed) + "}"
 
 
 @dataclass(frozen=True)
@@ -81,11 +98,11 @@ class TraceDocument:
                     "consequent_added": None
                     if step.consequent_added is None
                     else display_atom(step.consequent_added),
-                    "set_before": sorted(display_atom(a) for a in step.set_before),
-                    "set_after": sorted(display_atom(a) for a in step.set_after),
+                    "set_before": before,
+                    "set_after": after,
                     "remaining_after": step.remaining_after,
                 }
-                for step in self.steps
+                for step, before, after in _displayed_steps(self.steps)
             ],
             "final_set": list(self.final_set),
             "verdict": self.verdict,
@@ -103,16 +120,15 @@ class TraceDocument:
         if self.shortcut:
             lines.append(f"shortcut: {self.shortcut}")
         lines.append("trace:")
-        for number, step in enumerate(self.steps, start=1):
+        for number, (step, before, after) in enumerate(_displayed_steps(self.steps), start=1):
             if step.fired_index is None:
                 lines.append(
-                    f"  {number}. stop ({step.remaining_after} remaining): "
-                    f"{_render_set(step.set_after)}"
+                    f"  {number}. stop ({step.remaining_after} remaining): {_render_set(after)}"
                 )
             else:
                 lines.append(
                     f"  {number}. fire [{step.fired_index}] {self.horn_form[step.fired_index]}: "
-                    f"{_render_set(step.set_before)} => {_render_set(step.set_after)}"
+                    f"{_render_set(before)} => {_render_set(after)}"
                 )
         lines.append("final:    {" + ", ".join(self.final_set) + "}")
         lines.append(f"steps:    {self.step_count}")

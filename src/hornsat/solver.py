@@ -11,19 +11,32 @@ Saturation grows the set monotonically: the final set always contains the
 start set and adds nothing beyond the consequents, the result is the same
 for any firing order, and a run over n implications takes at most n
 firings plus one terminal step.
+
+The engine follows the linear-time scheme of Dowling and Gallier without
+rescanning.  Each unfired implication watches one antecedent atom that is
+not yet in the set.  When that atom enters, the implication moves on to
+its next missing atom, and once none is left its input position goes on a
+min-heap.  Since the set only grows, an implication that became fireable
+stays fireable, so the heap's minimum is always the leftmost fireable
+implication in the remaining order.  Every antecedent atom is passed over
+at most once, so a run takes O(total antecedent size + n log n) time.
+
+A run logs each atom once, in the order it entered the set, and every
+trace step records two prefix lengths into that log.  ``set_before`` and
+``set_after`` are built only when read, so a run that reads no trace sets
+does linear work.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterable
+from heapq import heappop, heappush
+from typing import Iterable, Sequence
 
 from .horn import Antecedent, HornFormula, Top, horn_symbols
 from .normalform import BOT, TOP
 
 __all__ = [
-    "Fired",
-    "LiteralSet",
     "SHORTCUT_NO_BOT_CONSEQUENT",
     "SHORTCUT_NO_TOP_ANTECEDENT",
     "SolveOutcome",
@@ -33,28 +46,81 @@ __all__ = [
     "precheck",
     "saturate",
     "solve",
-    "step",
 ]
-
-LiteralSet = frozenset  # sets of atom tokens: symbol names plus BOT/TOP
 
 SHORTCUT_NO_BOT_CONSEQUENT = "no implication has consequent bot"
 SHORTCUT_NO_TOP_ANTECEDENT = "no antecedent is top"
 
 
-@dataclass(frozen=True)
 class TraceStep:
     """One engine step.
 
     ``fired_index`` is the implication's position in the original input
     order, or None for the terminal step that detects the fixpoint.
+    ``set_before`` and ``set_after`` are the first ``before`` and ``after``
+    atoms of the run's log, built on each read.  Within a run, each step's
+    ``set_before`` equals the previous step's ``set_after``.
     """
 
-    fired_index: int | None
-    consequent_added: str | None
-    set_before: frozenset[str]
-    set_after: frozenset[str]
-    remaining_after: int
+    __slots__ = ("_fired_index", "_consequent_added", "_remaining_after", "_log", "_before", "_after")
+
+    def __init__(
+        self,
+        fired_index: int | None,
+        consequent_added: str | None,
+        remaining_after: int,
+        log: Sequence[str],
+        before: int,
+        after: int,
+    ) -> None:
+        self._fired_index = fired_index
+        self._consequent_added = consequent_added
+        self._remaining_after = remaining_after
+        self._log = log
+        self._before = before
+        self._after = after
+
+    @property
+    def fired_index(self) -> int | None:
+        return self._fired_index
+
+    @property
+    def consequent_added(self) -> str | None:
+        return self._consequent_added
+
+    @property
+    def remaining_after(self) -> int:
+        return self._remaining_after
+
+    @property
+    def set_before(self) -> frozenset[str]:
+        return frozenset(self._log[: self._before])
+
+    @property
+    def set_after(self) -> frozenset[str]:
+        return frozenset(self._log[: self._after])
+
+    def _values(self) -> tuple:
+        return (
+            self.fired_index,
+            self.consequent_added,
+            self.set_before,
+            self.set_after,
+            self.remaining_after,
+        )
+
+    def __eq__(self, other: object) -> bool:
+        if not isinstance(other, TraceStep):
+            return NotImplemented
+        return self._values() == other._values()
+
+    def __hash__(self) -> int:
+        return hash(self._values())
+
+    def __repr__(self) -> str:
+        names = ("fired_index", "consequent_added", "set_before", "set_after", "remaining_after")
+        fields = ", ".join(f"{name}={value!r}" for name, value in zip(names, self._values()))
+        return f"TraceStep({fields})"
 
 
 @dataclass(frozen=True)
@@ -65,38 +131,11 @@ class SolveOutcome:
     steps: int  # firings plus one terminal step
 
 
-@dataclass(frozen=True)
-class Fired:
-    """Result of one successful :func:`step`."""
-
-    index: int  # position within the remaining sequence
-    remaining: HornFormula
-    literals: frozenset[str]
-
-
 def antecedent_atoms(antecedent: Antecedent) -> frozenset[str]:
     """The atom set of an antecedent; the verum antecedent yields {TOP}."""
     if isinstance(antecedent, Top):
         return frozenset((TOP,))
     return frozenset(antecedent.atoms)
-
-
-def _first_fireable(implications: Iterable, current: frozenset[str]) -> int | None:
-    for position, imp in enumerate(implications):
-        if antecedent_atoms(imp.antecedent) <= current:
-            return position
-    return None
-
-
-def step(remaining: HornFormula, current: frozenset[str]) -> Fired | None:
-    """Fire the leftmost implication whose antecedent atoms are contained
-    in ``current``; None signals a fixpoint.  Expects TOP in ``current``."""
-    position = _first_fireable(remaining.implications, current)
-    if position is None:
-        return None
-    imp = remaining.implications[position]
-    rest = remaining.implications[:position] + remaining.implications[position + 1 :]
-    return Fired(position, HornFormula(rest), frozenset(current) | {imp.consequent})
 
 
 def saturate(
@@ -111,23 +150,50 @@ def saturate(
     subset of the full fixpoint that already contains BOT, which settles
     satisfiability just as well.
     """
-    current = frozenset(start)
+    current = set(start)
     if TOP not in current:
         raise ValueError("the start set must contain the verum token")
-    remaining = list(enumerate(phi.implications))
+    log = list(current)
+    implications = phi.implications
+    antecedents = [
+        () if isinstance(imp.antecedent, Top) else imp.antecedent.atoms for imp in implications
+    ]
+    cursors = [0] * len(implications)  # position of each watched atom
+    watchers: dict[str, list[int]] = {}  # atom -> implications watching it
+    fireable: list[int] = []  # a min-heap of input positions
+
+    def watch(index: int) -> None:
+        """Watch the next antecedent atom not yet in the set, or mark the
+        implication fireable when there is none."""
+        atoms = antecedents[index]
+        position = cursors[index]
+        while position < len(atoms):
+            atom = atoms[position]
+            if atom not in current:
+                cursors[index] = position
+                watchers.setdefault(atom, []).append(index)
+                return
+            position += 1
+        heappush(fireable, index)
+
+    for index in range(len(implications)):
+        watch(index)
+
+    remaining = len(implications)
     trace: list[TraceStep] = []
-    while True:
-        if early_stop and BOT in current:
-            position = None
-        else:
-            position = _first_fireable((imp for _, imp in remaining), current)
-        if position is None:
-            trace.append(TraceStep(None, None, current, current, len(remaining)))
-            return current, tuple(trace)
-        original_index, imp = remaining.pop(position)
-        updated = current | {imp.consequent}
-        trace.append(TraceStep(original_index, imp.consequent, current, updated, len(remaining)))
-        current = updated
+    while fireable and not (early_stop and BOT in current):
+        index = heappop(fireable)
+        consequent = implications[index].consequent
+        before = len(log)
+        remaining -= 1
+        if consequent not in current:
+            current.add(consequent)
+            log.append(consequent)
+            for waiting in watchers.pop(consequent, ()):
+                watch(waiting)
+        trace.append(TraceStep(index, consequent, remaining, log, before, len(log)))
+    trace.append(TraceStep(None, None, remaining, log, len(log), len(log)))
+    return frozenset(current), tuple(trace)
 
 
 def solve(phi: HornFormula, early_stop: bool = False) -> SolveOutcome:

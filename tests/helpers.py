@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import itertools
 import random
+from typing import NamedTuple
 
 import hypothesis.strategies as st
 
@@ -23,6 +24,7 @@ from hornsat import (
     Or,
     Top,
     Verum,
+    antecedent_atoms,
 )
 
 # The three benchmark inputs exercised end to end.
@@ -48,6 +50,47 @@ GOLDEN_SAT = HornFormula(
 GOLDEN_SHORT = HornFormula(
     (unit("p"), rule(("r",), "s"), rule(("p",), "r"), rule(("r",), BOT))
 )
+
+
+class ReferenceStep(NamedTuple):
+    fired_index: int | None
+    consequent_added: str | None
+    set_before: frozenset
+    set_after: frozenset
+    remaining_after: int
+
+
+def reference_saturate(phi: HornFormula, start, early_stop: bool = False):
+    """The selection rule read literally: rescan the remaining implications
+    for the leftmost one whose antecedent atoms are all in the current set,
+    fire it, and copy the set at every step.  Quadratic; the reference that
+    ``saturate`` must match step for step."""
+    current = frozenset(start)
+    remaining = list(enumerate(phi.implications))
+    trace = []
+    while True:
+        position = None
+        if not (early_stop and BOT in current):
+            for candidate, (_, imp) in enumerate(remaining):
+                if antecedent_atoms(imp.antecedent) <= current:
+                    position = candidate
+                    break
+        if position is None:
+            trace.append(ReferenceStep(None, None, current, current, len(remaining)))
+            return current, tuple(trace)
+        original_index, imp = remaining.pop(position)
+        updated = current | {imp.consequent}
+        trace.append(ReferenceStep(original_index, imp.consequent, current, updated, len(remaining)))
+        current = updated
+
+
+def reverse_chain(links: int) -> HornFormula:
+    """``x0 -> x1``, ..., ``x<links-1> -> x<links>`` listed last link first,
+    then the fact ``top -> x0``: the leftmost scan's worst case, where each
+    firing is found at the end of the remaining sequence."""
+    implications = [rule((f"x{k}",), f"x{k + 1}") for k in reversed(range(links))]
+    implications.append(unit("x0"))
+    return HornFormula(tuple(implications))
 
 
 def lit(text: str) -> Literal:

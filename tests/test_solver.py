@@ -1,8 +1,12 @@
 """Saturation engine: traces, shortcuts, models, and the core set laws."""
 
 import random
+import time
+import tracemalloc
 
+import hypothesis.strategies as st
 import pytest
+from hypothesis import example, given
 
 from hornsat import (
     BOT,
@@ -11,6 +15,7 @@ from hornsat import (
     TOP,
     Conj,
     HornFormula,
+    HornImplication,
     Top,
     antecedent_atoms,
     extract_model,
@@ -21,10 +26,20 @@ from hornsat import (
     satisfies,
     saturate,
     solve,
-    step,
 )
+from hornsat.cli import cli_main
 
-from helpers import GOLDEN_SAT, GOLDEN_SHORT, GOLDEN_UNSAT, SAT_CHAIN_TEXT, random_horn, rule, unit
+from helpers import (
+    GOLDEN_SAT,
+    GOLDEN_SHORT,
+    GOLDEN_UNSAT,
+    SAT_CHAIN_TEXT,
+    random_horn,
+    reference_saturate,
+    reverse_chain,
+    rule,
+    unit,
+)
 
 
 def test_antecedent_atoms():
@@ -33,18 +48,52 @@ def test_antecedent_atoms():
     assert antecedent_atoms(Conj(("p", "p"))) == {"p"}
 
 
-def test_step_fires_leftmost():
-    fired = step(GOLDEN_UNSAT, frozenset((TOP,)))
-    assert fired is not None
-    assert fired.index == 0
-    assert fired.literals == {TOP, "p"}
-    assert fired.remaining == HornFormula(GOLDEN_UNSAT.implications[1:])
+# A small pool makes repeated consequents and shared antecedent atoms common.
+_POOL = ("p", "q", "r", "s")
+_ANTECEDENTS = st.one_of(
+    st.just(Top()),
+    st.lists(st.sampled_from(_POOL + (BOT,)), min_size=1, max_size=3).map(
+        lambda atoms: Conj(tuple(atoms))
+    ),
+)
+_IMPLICATIONS = st.builds(HornImplication, _ANTECEDENTS, st.sampled_from(_POOL + (BOT,)))
 
 
-def test_step_fixpoint():
-    rest = HornFormula(GOLDEN_SAT.implications[1:])
-    assert step(rest, frozenset((TOP, "p"))) is None
-    assert step(HornFormula(()), frozenset((TOP,))) is None
+def assert_same_run(horn, start, early_stop):
+    final, trace = saturate(horn, start, early_stop)
+    expected_final, expected_trace = reference_saturate(horn, start, early_stop)
+    assert final == expected_final
+    assert len(trace) == len(expected_trace)
+    for got, want in zip(trace, expected_trace):
+        assert got.fired_index == want.fired_index
+        assert got.consequent_added == want.consequent_added
+        assert got.set_before == want.set_before
+        assert got.set_after == want.set_after
+        assert got.remaining_after == want.remaining_after
+
+
+@given(
+    implications=st.lists(_IMPLICATIONS, max_size=12),
+    extra=st.sets(st.sampled_from(_POOL + (BOT,)), max_size=3),
+    early_stop=st.booleans(),
+)
+@example(implications=[], extra=set(), early_stop=False)
+@example(
+    implications=[unit("p"), unit("p"), rule(("p", BOT), "q"), unit(BOT), rule((BOT,), "r")],
+    extra={"s"},
+    early_stop=False,
+)
+@example(implications=[], extra={BOT}, early_stop=True)
+def test_saturate_matches_leftmost_rescan(implications, extra, early_stop):
+    assert_same_run(HornFormula(tuple(implications)), frozenset({TOP} | extra), early_stop)
+
+
+def test_saturate_matches_leftmost_rescan_on_longer_runs():
+    rng = random.Random(37)
+    for _ in range(300):
+        horn = random_horn(rng, "pqrstu", rng.randint(0, 30), bot_antecedent_rate=0.2)
+        start = frozenset((TOP, *rng.sample("pqrstu", rng.randint(0, 2))))
+        assert_same_run(horn, start, early_stop=rng.random() < 0.5)
 
 
 def test_saturate_full_chain():
@@ -209,3 +258,34 @@ def test_early_stop_set_is_subset_of_full_fixpoint():
     early = solve(horn, early_stop=True).final_set
     assert early == {TOP, BOT}
     assert early < full
+
+
+def test_reverse_chain_scales_linearly():
+    links = 100_000
+    horn = reverse_chain(links)
+    started = time.perf_counter()
+    outcome = solve(horn)
+    elapsed = time.perf_counter() - started
+    tracemalloc.start()
+    try:
+        solve(horn)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert outcome.satisfiable
+    assert len(outcome.final_set) == links + 2
+    assert outcome.steps == links + 2
+    assert [step.fired_index for step in outcome.trace[:3]] == [links, links - 1, links - 2]
+    assert elapsed < 10.0
+    assert peak < 200 * 2**20
+
+
+def test_reverse_chain_end_to_end(tmp_path, capsys):
+    links = 5_000
+    clauses = [f"-{k} {k + 1} 0" for k in reversed(range(1, links + 1))] + ["1 0"]
+    path = tmp_path / "chain.cnf"
+    path.write_text(f"p cnf {links + 1} {len(clauses)}\n" + "\n".join(clauses) + "\n", encoding="utf-8")
+    assert cli_main(["solve", str(path), "--dimacs"]) == 10
+    out = capsys.readouterr().out.splitlines()
+    assert out[0] == "SAT"
+    assert sorted(out[1].split()) == sorted(f"x{k}=1" for k in range(1, links + 2))
