@@ -8,136 +8,21 @@ model.  A brute-force truth-table oracle provides independent ground
 truth for testing.
 """
 
-from .formula import (
-    And,
-    Atom,
-    Falsum,
-    Formula,
-    Iff,
-    Implies,
-    Not,
-    Or,
-    Valuation,
-    Verum,
-    desugar,
-    evaluate,
-    satisfies,
-    symbols,
-)
-from .normalform import (
-    BOT,
-    BOT_LITERAL,
-    TOP,
-    TOP_LITERAL,
-    Clause,
-    ClauseBudgetError,
-    CnfFormula,
-    CnfVerdict,
-    Literal,
-    clause_is_valid,
-    cnf_quick_classify,
-    to_cnf,
-)
-from .horn import (
-    Antecedent,
-    Conj,
-    HornFormula,
-    HornImplication,
-    NotHornError,
-    Top,
-    basic_to_implication,
-    horn_from_clauses,
-    horn_from_formula,
-    horn_symbols,
-    horn_to_formula,
-    implication_to_formula,
-    is_basic_horn,
-)
-from .solver import (
-    SHORTCUT_NO_BOT_CONSEQUENT,
-    SHORTCUT_NO_TOP_ANTECEDENT,
-    SolveOutcome,
-    TraceStep,
-    antecedent_atoms,
-    extract_model,
-    precheck,
-    saturate,
-    solve,
-)
-from .oracle import (
-    Classification,
-    DEFAULT_SYMBOL_CAP,
-    SymbolCapError,
-    classify,
-    enumerate_valuations,
-    equivalent,
-    models,
-    semantic_consequence,
-)
-from .parsing import DimacsError, ParseError, parse_dimacs, parse_formula, render
+from . import formula, horn, normalform, oracle, parsing, solver
+from .formula import *
+from .horn import *
+from .normalform import *
+from .oracle import *
+from .parsing import *
+from .solver import *
 
 __version__ = "0.1.0"
 
 __all__ = [
-    "And",
-    "Antecedent",
-    "Atom",
-    "BOT",
-    "BOT_LITERAL",
-    "Classification",
-    "Clause",
-    "ClauseBudgetError",
-    "CnfFormula",
-    "CnfVerdict",
-    "Conj",
-    "DEFAULT_SYMBOL_CAP",
-    "DimacsError",
-    "Falsum",
-    "Formula",
-    "HornFormula",
-    "HornImplication",
-    "Iff",
-    "Implies",
-    "Literal",
-    "Not",
-    "NotHornError",
-    "Or",
-    "ParseError",
-    "SHORTCUT_NO_BOT_CONSEQUENT",
-    "SHORTCUT_NO_TOP_ANTECEDENT",
-    "SolveOutcome",
-    "SymbolCapError",
-    "TOP",
-    "TOP_LITERAL",
-    "Top",
-    "TraceStep",
-    "Valuation",
-    "Verum",
-    "antecedent_atoms",
-    "basic_to_implication",
-    "clause_is_valid",
-    "classify",
-    "cnf_quick_classify",
-    "desugar",
-    "enumerate_valuations",
-    "equivalent",
-    "evaluate",
-    "extract_model",
-    "horn_from_clauses",
-    "horn_from_formula",
-    "horn_symbols",
-    "horn_to_formula",
-    "implication_to_formula",
-    "is_basic_horn",
-    "models",
-    "parse_dimacs",
-    "parse_formula",
-    "precheck",
-    "render",
-    "satisfies",
-    "saturate",
-    "semantic_consequence",
-    "solve",
-    "symbols",
-    "to_cnf",
+    *formula.__all__,
+    *normalform.__all__,
+    *horn.__all__,
+    *solver.__all__,
+    *oracle.__all__,
+    *parsing.__all__,
 ]

@@ -1,7 +1,9 @@
 """Command-line front end: solve, trace, convert, and classify.
 
 Exit codes follow the usual solver convention: 10 for SAT, 20 for UNSAT,
-1 for parse errors and non-Horn inputs, 2 for usage errors.
+1 for parse errors, non-Horn inputs and every other failure on input, 2
+for usage errors.  Every exit 1 prints one ``error:`` line on stderr,
+from the single handler in :func:`cli_main`.
 """
 
 from __future__ import annotations
@@ -178,18 +180,11 @@ def _load_cnf(args: argparse.Namespace) -> tuple[str, CnfFormula, set[str]]:
     return text, to_cnf(phi, max_clauses=args.max_clauses), symbols(phi)
 
 
-_PIPELINE_ERRORS = (ParseError, DimacsError, NotHornError, ClauseBudgetError, OSError)
-
-
 def _run_solver(args: argparse.Namespace):
     text, cnf, source_symbols = _load_cnf(args)
     horn = horn_from_clauses(cnf)
-    shortcut = None
-    if not args.no_precheck:
-        reasons = precheck(horn)
-        if reasons:
-            shortcut = "; ".join(reasons)
-    outcome = solve(horn, early_stop=not args.no_early_stop)
+    shortcut = "; ".join(precheck(horn)) or None
+    outcome = solve(horn, early_stop=True)
     model = None
     if outcome.satisfiable:
         model = extract_model(horn, outcome.final_set)
@@ -199,12 +194,8 @@ def _run_solver(args: argparse.Namespace):
 
 
 def _cmd_solve(args: argparse.Namespace) -> int:
-    try:
-        _, _, outcome, model, shortcut = _run_solver(args)
-    except _PIPELINE_ERRORS as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_ERROR
-    if shortcut:
+    _, _, outcome, model, shortcut = _run_solver(args)
+    if shortcut and not args.no_precheck:
         print(f"note: shortcut: {shortcut}", file=sys.stderr)
     if outcome.satisfiable:
         print("SAT")
@@ -216,30 +207,18 @@ def _cmd_solve(args: argparse.Namespace) -> int:
 
 
 def _cmd_trace(args: argparse.Namespace) -> int:
-    try:
-        text, horn, outcome, model, shortcut = _run_solver(args)
-    except _PIPELINE_ERRORS as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_ERROR
+    text, horn, outcome, model, shortcut = _run_solver(args)
     document = build_trace_document(text, horn, outcome, model, shortcut)
     print(document.to_json() if args.json else document.to_text())
     return EXIT_SAT if outcome.satisfiable else EXIT_UNSAT
 
 
 def _cmd_convert(args: argparse.Namespace) -> int:
-    try:
-        _, cnf, _ = _load_cnf(args)
-    except _PIPELINE_ERRORS as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_ERROR
+    _, cnf, _ = _load_cnf(args)
     print("clauses:")
     for clause in cnf.clauses:
         print(f"  {_render_clause(clause)}")
-    try:
-        horn = horn_from_clauses(cnf)
-    except NotHornError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_ERROR
+    horn = horn_from_clauses(cnf)
     print("horn:")
     for imp in horn.implications:
         print(f"  {render_implication(imp)}")
@@ -254,16 +233,7 @@ _CLASSIFY_LABELS = {
 
 
 def _cmd_classify(args: argparse.Namespace) -> int:
-    try:
-        phi = parse_formula(_read_input(args.path))
-    except (ParseError, OSError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_ERROR
-    try:
-        verdict = classify(phi, cap=args.max_symbols)
-    except SymbolCapError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_ERROR
+    verdict = classify(parse_formula(_read_input(args.path)), cap=args.max_symbols)
     print(_CLASSIFY_LABELS[verdict])
     return 0
 
@@ -292,22 +262,15 @@ def _build_parser() -> argparse.ArgumentParser:
     solve_p = sub.add_parser("solve", help="decide satisfiability (exit 10 SAT, 20 UNSAT)")
     _add_input_options(solve_p)
     solve_p.add_argument(
-        "--no-early-stop",
-        action="store_true",
-        help="saturate fully even after bot enters the set",
-    )
-    solve_p.add_argument(
         "--no-precheck",
         action="store_true",
-        help="skip the syntactic satisfiability shortcuts",
+        help="do not report the syntactic satisfiability shortcuts",
     )
     solve_p.set_defaults(handler=_cmd_solve)
 
     trace_p = sub.add_parser("trace", help="solve and emit the full run as text or JSON")
     _add_input_options(trace_p)
     trace_p.add_argument("--json", action="store_true", help="emit one JSON object")
-    trace_p.add_argument("--no-early-stop", action="store_true", help=argparse.SUPPRESS)
-    trace_p.add_argument("--no-precheck", action="store_true", help=argparse.SUPPRESS)
     trace_p.set_defaults(handler=_cmd_trace)
 
     convert_p = sub.add_parser("convert", help="print the clause list and the implication form")
@@ -330,7 +293,20 @@ def _build_parser() -> argparse.ArgumentParser:
 
 def cli_main(argv: Sequence[str] | None = None) -> int:
     args = _build_parser().parse_args(argv)
-    return args.handler(args)
+    try:
+        return args.handler(args)
+    except (
+        ParseError,
+        DimacsError,
+        NotHornError,
+        ClauseBudgetError,
+        SymbolCapError,
+        UnicodeDecodeError,
+        OSError,
+        RecursionError,
+    ) as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return EXIT_ERROR
 
 
 def main() -> None:

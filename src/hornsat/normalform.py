@@ -5,6 +5,15 @@ variables), so the result is logically equivalent to the input, at the
 cost of a possible exponential blowup.  An optional clause budget guards
 against that blowup.
 
+It is a single pass with explicit stacks, so formula depth is bounded
+only by memory.  Each node is read with a polarity: a negative node
+stands for the negation normal form of its negation, ``~`` flips the
+polarity, and an implication reads its left side flipped.  A node that
+is a conjunction under its polarity concatenates its children's clause
+lists; a disjunction takes their product.  A biconditional is read as
+the conjunction of both implications, or when negative as
+``(a & ~b) | (~a & b)``.  No negation normal form tree is built.
+
 The falsum constant is an atomic formula here, so it may appear inside
 literals; the verum literal is the negation of falsum.
 """
@@ -12,7 +21,6 @@ literals; the verum literal is the negation of falsum.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from enum import Enum
 
 from .formula import And, Atom, Falsum, Formula, Iff, Implies, Not, Or, Valuation, Verum
 
@@ -24,10 +32,7 @@ __all__ = [
     "Clause",
     "ClauseBudgetError",
     "CnfFormula",
-    "CnfVerdict",
     "Literal",
-    "clause_is_valid",
-    "cnf_quick_classify",
     "to_cnf",
 ]
 
@@ -53,9 +58,6 @@ class Literal:
             raise ValueError("verum is not atomic; use the negative falsum literal")
         if not self.atom:
             raise ValueError("literal atom must be nonempty")
-
-    def complement(self) -> "Literal":
-        return Literal(self.atom, not self.positive)
 
     def to_formula(self) -> Formula:
         base: Formula = Falsum() if self.atom == BOT else Atom(self.atom)
@@ -122,74 +124,67 @@ class CnfFormula:
         return phi
 
 
-def _nnf(phi: Formula) -> Formula:
-    """Negation normal form: expand -> and <->, push ~ down to literals."""
-    if isinstance(phi, (Falsum, Verum, Atom)):
-        return phi
-    if isinstance(phi, Or):
-        return Or(_nnf(phi.left), _nnf(phi.right))
-    if isinstance(phi, And):
-        return And(_nnf(phi.left), _nnf(phi.right))
-    if isinstance(phi, Implies):
-        return Or(_nnf(Not(phi.left)), _nnf(phi.right))
-    if isinstance(phi, Iff):
-        return And(
-            Or(_nnf(Not(phi.left)), _nnf(phi.right)),
-            Or(_nnf(Not(phi.right)), _nnf(phi.left)),
-        )
-    if isinstance(phi, Not):
-        sub = phi.operand
-        if isinstance(sub, Falsum):
-            return Verum()
-        if isinstance(sub, Verum):
-            return Falsum()
-        if isinstance(sub, Atom):
-            return phi
-        if isinstance(sub, Not):
-            return _nnf(sub.operand)
-        if isinstance(sub, Or):
-            return And(_nnf(Not(sub.left)), _nnf(Not(sub.right)))
-        if isinstance(sub, And):
-            return Or(_nnf(Not(sub.left)), _nnf(Not(sub.right)))
-        if isinstance(sub, Implies):
-            return And(_nnf(sub.left), _nnf(Not(sub.right)))
-        if isinstance(sub, Iff):
-            return _nnf(Or(And(sub.left, Not(sub.right)), And(Not(sub.left), sub.right)))
-    raise TypeError(f"not a formula: {phi!r}")
-
-
-# Distribution works on plain (atom, positive) pairs: tuple hashing and
-# equality run at C speed, which matters when a formula blows up into
+# Clauses are built as lists of plain (atom, positive) pairs: tuple hashing
+# and equality run at C speed, which matters when a formula blows up into
 # hundreds of thousands of clauses.
 _BOT_PAIR = (BOT, True)
 _TOP_PAIR = (BOT, False)
 
-
-def _leaf_pair(phi: Formula) -> tuple[str, bool]:
-    if isinstance(phi, Falsum):
-        return _BOT_PAIR
-    if isinstance(phi, Verum):
-        return _TOP_PAIR
-    if isinstance(phi, Atom):
-        return (phi.name, True)
-    if isinstance(phi, Not) and isinstance(phi.operand, Atom):
-        return (phi.operand.name, False)
-    raise TypeError(f"not a literal after NNF: {phi!r}")
+# Work-stack markers: combine the two clause lists on top of the value stack.
+_CONCAT = object()
+_PRODUCT = object()
 
 
-def _distribute(phi: Formula, budget: int | None) -> list[list[tuple[str, bool]]]:
-    if isinstance(phi, And):
-        lists = _distribute(phi.left, budget) + _distribute(phi.right, budget)
-        if budget is not None and len(lists) > budget:
-            raise ClauseBudgetError(f"conversion exceeds the budget of {budget} clauses")
-        return lists
-    if isinstance(phi, Or):
-        lefts = _distribute(phi.left, budget)
-        rights = _distribute(phi.right, budget)
-        if budget is not None and len(lefts) * len(rights) > budget:
-            raise ClauseBudgetError(f"conversion exceeds the budget of {budget} clauses")
-        return [lc + rc for lc in lefts for rc in rights]
-    return [[_leaf_pair(phi)]]
+def _clause_lists(phi: Formula, budget: int | None) -> list[list[tuple[str, bool]]]:
+    """The clauses of ``phi`` as pair lists, in source order.
+
+    Every clause list on the value stack, and every clause in it, has
+    exactly one owner, so concatenation and a product with a single
+    right-hand clause extend in place.
+    """
+    todo: list[tuple[object, bool]] = [(phi, True)]
+    values: list[list[list[tuple[str, bool]]]] = []
+    while todo:
+        node, positive = todo.pop()
+        if node is _CONCAT:
+            right = values.pop()
+            left = values[-1]
+            left.extend(right)
+            if budget is not None and len(left) > budget:
+                raise ClauseBudgetError(f"conversion exceeds the budget of {budget} clauses")
+        elif node is _PRODUCT:
+            right = values.pop()
+            left = values.pop()
+            if budget is not None and len(left) * len(right) > budget:
+                raise ClauseBudgetError(f"conversion exceeds the budget of {budget} clauses")
+            if len(right) == 1:
+                # Keeps a left-deep disjunction linear.
+                for left_clause in left:
+                    left_clause.extend(right[0])
+                values.append(left)
+            else:
+                values.append([lc + rc for lc in left for rc in right])
+        elif isinstance(node, Atom):
+            values.append([[(node.name, positive)]])
+        elif isinstance(node, Falsum):
+            values.append([[(BOT, positive)]])
+        elif isinstance(node, Verum):
+            values.append([[(BOT, not positive)]])
+        elif isinstance(node, Not):
+            todo.append((node.operand, not positive))
+        elif isinstance(node, Iff):
+            a, b = node.left, node.right
+            if positive:
+                todo.append((And(Implies(a, b), Implies(b, a)), True))
+            else:
+                todo.append((Or(And(a, Not(b)), And(Not(a), b)), True))
+        elif isinstance(node, (And, Or, Implies)):
+            todo.append((_CONCAT if isinstance(node, And) == positive else _PRODUCT, positive))
+            todo.append((node.right, positive))
+            todo.append((node.left, not positive if isinstance(node, Implies) else positive))
+        else:
+            raise TypeError(f"not a formula: {node!r}")
+    return values[0]
 
 
 def to_cnf(phi: Formula, max_clauses: int | None = None) -> CnfFormula:
@@ -201,7 +196,7 @@ def to_cnf(phi: Formula, max_clauses: int | None = None) -> CnfFormula:
     dropped from clauses that have other literals.  If every clause is
     dropped, the single verum clause remains.
     """
-    raw = _distribute(_nnf(phi), max_clauses)
+    raw = _clause_lists(phi, max_clauses)
     interned: dict[tuple[str, bool], Literal] = {}
     clauses: list[Clause] = []
     for pairs in raw:
@@ -226,32 +221,3 @@ def to_cnf(phi: Formula, max_clauses: int | None = None) -> CnfFormula:
         clauses.append(Clause((TOP_LITERAL,)))
     return CnfFormula(tuple(clauses))
 
-
-def clause_is_valid(clause: Clause) -> bool:
-    """True iff the clause holds under every valuation.
-
-    That is the case exactly when it contains the verum literal or a
-    complementary pair of literals over the same atom.
-    """
-    lits = set(clause.literals)
-    if TOP_LITERAL in lits:
-        return True
-    return any(lit.complement() in lits for lit in lits)
-
-
-class CnfVerdict(Enum):
-    VALID = "valid"
-    CONTRADICTORY = "contradictory"
-    UNKNOWN = "unknown"
-
-
-def cnf_quick_classify(cnf: CnfFormula) -> CnfVerdict:
-    """Syntactic classification: VALID if every clause is valid,
-    CONTRADICTORY if some clause consists solely of falsum literals,
-    UNKNOWN otherwise (deferred to the solver or the oracle)."""
-    if all(clause_is_valid(clause) for clause in cnf.clauses):
-        return CnfVerdict.VALID
-    for clause in cnf.clauses:
-        if all(lit == BOT_LITERAL for lit in clause.literals):
-            return CnfVerdict.CONTRADICTORY
-    return CnfVerdict.UNKNOWN

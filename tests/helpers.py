@@ -10,11 +10,15 @@ import hypothesis.strategies as st
 
 from hornsat import (
     BOT,
+    TOP_LITERAL,
     And,
     Atom,
     Clause,
+    ClauseBudgetError,
+    CnfFormula,
     Conj,
     Falsum,
+    Formula,
     HornFormula,
     HornImplication,
     Iff,
@@ -187,6 +191,88 @@ def formula_strategy(names=("p", "q", "r", "s"), max_leaves=10):
     )
 
 
-def clause_strategy(names=("p", "q", "r")):
-    literal = st.builds(Literal, st.sampled_from(list(names) + [BOT]), st.booleans())
-    return st.builds(Clause, st.lists(literal, min_size=1, max_size=4).map(tuple))
+# The two recursive passes that ``to_cnf`` used before it became a single
+# iterative walk: a negation normal form tree, then distribution over it.
+# They recurse once per connective, so they are only for shallow formulas.
+def _nnf(phi: Formula) -> Formula:
+    """Negation normal form: expand -> and <->, push ~ down to literals."""
+    if isinstance(phi, (Falsum, Verum, Atom)):
+        return phi
+    if isinstance(phi, Or):
+        return Or(_nnf(phi.left), _nnf(phi.right))
+    if isinstance(phi, And):
+        return And(_nnf(phi.left), _nnf(phi.right))
+    if isinstance(phi, Implies):
+        return Or(_nnf(Not(phi.left)), _nnf(phi.right))
+    if isinstance(phi, Iff):
+        return And(
+            Or(_nnf(Not(phi.left)), _nnf(phi.right)),
+            Or(_nnf(Not(phi.right)), _nnf(phi.left)),
+        )
+    if isinstance(phi, Not):
+        sub = phi.operand
+        if isinstance(sub, Falsum):
+            return Verum()
+        if isinstance(sub, Verum):
+            return Falsum()
+        if isinstance(sub, Atom):
+            return phi
+        if isinstance(sub, Not):
+            return _nnf(sub.operand)
+        if isinstance(sub, Or):
+            return And(_nnf(Not(sub.left)), _nnf(Not(sub.right)))
+        if isinstance(sub, And):
+            return Or(_nnf(Not(sub.left)), _nnf(Not(sub.right)))
+        if isinstance(sub, Implies):
+            return And(_nnf(sub.left), _nnf(Not(sub.right)))
+        if isinstance(sub, Iff):
+            return _nnf(Or(And(sub.left, Not(sub.right)), And(Not(sub.left), sub.right)))
+    raise TypeError(f"not a formula: {phi!r}")
+
+
+# Distribution works on plain (atom, positive) pairs: tuple hashing and
+# equality run at C speed, which matters when a formula blows up into
+# hundreds of thousands of clauses.
+_BOT_PAIR = (BOT, True)
+_TOP_PAIR = (BOT, False)
+
+
+def _leaf_pair(phi: Formula) -> tuple[str, bool]:
+    if isinstance(phi, Falsum):
+        return _BOT_PAIR
+    if isinstance(phi, Verum):
+        return _TOP_PAIR
+    if isinstance(phi, Atom):
+        return (phi.name, True)
+    if isinstance(phi, Not) and isinstance(phi.operand, Atom):
+        return (phi.operand.name, False)
+    raise TypeError(f"not a literal after NNF: {phi!r}")
+
+
+def _distribute(phi: Formula, budget: int | None) -> list[list[tuple[str, bool]]]:
+    if isinstance(phi, And):
+        lists = _distribute(phi.left, budget) + _distribute(phi.right, budget)
+        if budget is not None and len(lists) > budget:
+            raise ClauseBudgetError(f"conversion exceeds the budget of {budget} clauses")
+        return lists
+    if isinstance(phi, Or):
+        lefts = _distribute(phi.left, budget)
+        rights = _distribute(phi.right, budget)
+        if budget is not None and len(lefts) * len(rights) > budget:
+            raise ClauseBudgetError(f"conversion exceeds the budget of {budget} clauses")
+        return [lc + rc for lc in lefts for rc in rights]
+    return [[_leaf_pair(phi)]]
+
+
+def reference_to_cnf(phi: Formula, max_clauses: int | None = None) -> CnfFormula:
+    """``to_cnf`` through the recursive reference passes, with the
+    simplification its docstring states."""
+    clauses = []
+    for pairs in _distribute(_nnf(phi), max_clauses):
+        if _TOP_PAIR in pairs:
+            continue
+        kept = list(dict.fromkeys(pairs))
+        if len(kept) > 1:
+            kept = [pair for pair in kept if pair != _BOT_PAIR]
+        clauses.append(Clause(tuple(Literal(*pair) for pair in kept)))
+    return CnfFormula(tuple(clauses) or (Clause((TOP_LITERAL,)),))

@@ -159,3 +159,22 @@ def test_classify_symbol_cap(write, capsys):
     text = " & ".join(f"v{i}" for i in range(6))
     assert cli_main(["classify", write(text), "--max-symbols", "5"]) == 1
     assert "cap" in capsys.readouterr().err
+
+
+def _assert_one_error_line(captured):
+    assert captured.out == ""
+    assert captured.err.startswith("error: ")
+    assert captured.err.count("\n") == 1
+    assert "Traceback" not in captured.err
+
+
+def test_undecodable_input_is_an_error(tmp_path, capsys):
+    path = tmp_path / "input.txt"
+    path.write_bytes(b"\xff\xfe p")
+    assert cli_main(["solve", str(path)]) == 1
+    _assert_one_error_line(capsys.readouterr())
+
+
+def test_deep_parentheses_are_an_error(write, capsys):
+    assert cli_main(["solve", write("(" * 600 + "p" + ")" * 600)]) == 1
+    _assert_one_error_line(capsys.readouterr())

@@ -1,19 +1,26 @@
 """CNF conversion and clause-level checks."""
 
+import random
+import time
+from functools import reduce
+
+import hypothesis.strategies as st
 import pytest
-from hypothesis import given
+from hypothesis import example, given
 
 from hornsat import (
     TOP,
-    Classification,
+    And,
+    Atom,
     Clause,
     ClauseBudgetError,
-    CnfFormula,
-    CnfVerdict,
+    Falsum,
+    Iff,
+    Implies,
     Literal,
-    classify,
-    clause_is_valid,
-    cnf_quick_classify,
+    Not,
+    Or,
+    Verum,
     enumerate_valuations,
     equivalent,
     evaluate,
@@ -21,8 +28,15 @@ from hornsat import (
     symbols,
     to_cnf,
 )
+from hornsat.cli import cli_main
 
-from helpers import UNSAT_CHAIN_TEXT, clause, clause_strategy, formula_strategy
+from helpers import (
+    UNSAT_CHAIN_TEXT,
+    clause,
+    formula_strategy,
+    random_formula,
+    reference_to_cnf,
+)
 
 
 def test_single_atom_is_already_cnf():
@@ -66,20 +80,6 @@ def test_clause_budget():
         to_cnf(phi, max_clauses=3)
 
 
-def test_clause_is_valid():
-    assert clause_is_valid(clause("p", "~p"))
-    assert clause_is_valid(clause("top"))
-    assert not clause_is_valid(clause("p", "q"))
-
-
-def test_cnf_quick_classify():
-    all_valid = CnfFormula((clause("p", "~p"), clause("top")))
-    assert cnf_quick_classify(all_valid) is CnfVerdict.VALID
-    assert cnf_quick_classify(CnfFormula((clause("bot"),))) is CnfVerdict.CONTRADICTORY
-    benchmark = to_cnf(parse_formula(UNSAT_CHAIN_TEXT))
-    assert cnf_quick_classify(benchmark) is CnfVerdict.UNKNOWN
-
-
 def test_empty_clause_rejected():
     with pytest.raises(ValueError):
         Clause(())
@@ -106,7 +106,80 @@ def test_cnf_idempotent_up_to_equivalence(phi):
     assert equivalent(once.to_formula(), twice.to_formula())
 
 
-@given(clause_strategy())
-def test_clause_validity_matches_oracle(one_clause):
-    expected = classify(one_clause.to_formula()) is Classification.VALID
-    assert clause_is_valid(one_clause) == expected
+def _conversion(convert, phi, budget):
+    """The clause list, or the budget error's message."""
+    try:
+        return convert(phi, budget).clauses
+    except ClauseBudgetError as exc:
+        return str(exc)
+
+
+p, q = Atom("p"), Atom("q")
+
+
+@given(formula_strategy(max_leaves=12), st.one_of(st.none(), st.integers(1, 8)))
+@example(Iff(p, Not(q)), None)
+@example(Not(Iff(p, Not(q))), None)
+@example(Iff(Verum(), Falsum()), None)
+@example(Not(Iff(Falsum(), Verum())), None)
+@example(Implies(Not(Verum()), Not(Falsum())), None)
+@example(Not(Implies(Verum(), Falsum())), None)
+@example(parse_formula("(a & b) | (c & d) | (e & f)"), 3)
+@example(Not(Or(And(p, q), And(q, p))), 1)
+def test_to_cnf_matches_reference_passes(phi, budget):
+    assert _conversion(to_cnf, phi, budget) == _conversion(reference_to_cnf, phi, budget)
+
+
+def test_to_cnf_matches_reference_passes_on_seeded_formulas():
+    rng = random.Random(20)
+    for _ in range(2000):
+        phi = random_formula(rng, ("p", "q", "r", "s", "t"), depth=rng.randint(1, 6))
+        budget = rng.choice((1, 2, 4, 16, 64, 1024))
+        assert _conversion(to_cnf, phi, budget) == _conversion(reference_to_cnf, phi, budget)
+
+
+def _atoms(count):
+    return [Atom(f"p{i}") for i in range(count)]
+
+
+def test_left_deep_conjunction_converts_in_linear_time():
+    atoms = _atoms(100_000)
+    phi = reduce(And, atoms)
+    started = time.perf_counter()
+    clauses = to_cnf(phi).clauses
+    assert time.perf_counter() - started < 10
+    assert [c.literals[0].atom for c in clauses] == [a.name for a in atoms]
+
+
+def test_left_deep_disjunction_converts_in_linear_time():
+    atoms = _atoms(100_000)
+    phi = reduce(Or, [Not(atom) for atom in atoms])
+    started = time.perf_counter()
+    clauses = to_cnf(phi).clauses
+    assert time.perf_counter() - started < 10
+    assert clauses == (Clause(tuple(Literal(a.name, False) for a in atoms)),)
+
+
+def test_deep_negation_chain():
+    phi = p
+    for _ in range(100_000):
+        phi = Not(phi)
+    assert to_cnf(phi).clauses == (clause("p"),)
+    assert to_cnf(Not(phi)).clauses == (clause("~p"),)
+
+
+def test_right_nested_conjunction():
+    atoms = _atoms(10_000)
+    phi = atoms[-1]
+    for atom in reversed(atoms[:-1]):
+        phi = And(atom, phi)
+    assert [c.literals[0].atom for c in to_cnf(phi).clauses] == [a.name for a in atoms]
+
+
+def test_solve_flat_conjunction_end_to_end(tmp_path, capsys):
+    path = tmp_path / "facts.txt"
+    path.write_text(" & ".join(f"p{i}" for i in range(20_000)) + "\n", encoding="utf-8")
+    assert cli_main(["solve", str(path)]) == 10
+    out = capsys.readouterr().out.splitlines()
+    assert out[0] == "SAT"
+    assert sorted(out[1].split()) == sorted(f"p{i}=1" for i in range(20_000))
