@@ -238,6 +238,16 @@ def _cmd_classify(args: argparse.Namespace) -> int:
     return 0
 
 
+def _non_negative(text: str) -> int:
+    try:
+        value = int(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"invalid int value: {text!r}") from None
+    if value < 0:
+        raise argparse.ArgumentTypeError(f"must be non-negative, got {value}")
+    return value
+
+
 def _add_input_options(parser: argparse.ArgumentParser) -> None:
     parser.add_argument("path", help="input file, or - for standard input")
     parser.add_argument(
@@ -245,7 +255,7 @@ def _add_input_options(parser: argparse.ArgumentParser) -> None:
     )
     parser.add_argument(
         "--max-clauses",
-        type=int,
+        type=_non_negative,
         default=DEFAULT_CLAUSE_BUDGET,
         metavar="N",
         help="abort CNF conversion beyond N clauses (default %(default)s)",
@@ -281,7 +291,7 @@ def _build_parser() -> argparse.ArgumentParser:
     classify_p.add_argument("path", help="input file, or - for standard input")
     classify_p.add_argument(
         "--max-symbols",
-        type=int,
+        type=_non_negative,
         default=20,
         metavar="N",
         help="refuse enumeration beyond N symbols (default %(default)s)",
@@ -304,8 +314,11 @@ def cli_main(argv: Sequence[str] | None = None) -> int:
         UnicodeDecodeError,
         OSError,
         RecursionError,
+        MemoryError,
+        OverflowError,
     ) as exc:
-        print(f"error: {exc}", file=sys.stderr)
+        # A MemoryError usually carries no message.
+        print(f"error: {str(exc) or type(exc).__name__}", file=sys.stderr)
         return EXIT_ERROR
 
 

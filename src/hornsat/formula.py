@@ -14,7 +14,7 @@ from __future__ import annotations
 
 import re
 from dataclasses import dataclass
-from typing import Mapping, Union
+from typing import Callable, Mapping, Union
 
 __all__ = [
     "And",
@@ -117,7 +117,20 @@ def evaluate(phi: Formula, valuation: Valuation) -> int:
 
     Disjunction is addition saturating at 1, conjunction is
     multiplication, and implication is ``(1 - a) + b`` under the same
-    saturation.  Symbols missing from ``valuation`` read as 0.
+    saturation; on 0/1 these are the bitwise operations of
+    :func:`_evaluate_rows` with a one-row mask.  Symbols missing from
+    ``valuation`` read as 0.
+    """
+    return _evaluate_rows(phi, lambda name: 1 if valuation.get(name, 0) else 0, 1)
+
+
+def _evaluate_rows(phi: Formula, column: Callable[[str], int], mask: int) -> int:
+    """Evaluate ``phi`` on every row of a truth table at once.
+
+    Bit ``r`` of an int is a value in row ``r``; ``mask`` has one bit set
+    per row and ``column(name)`` gives an atom's values.  Each connective
+    is one bitwise operation over all rows, so bit ``r`` of the result is
+    ``phi``'s value in row ``r``.
     """
     # Iterative post-order walk: clause-list readbacks can be thousands of
     # connectives deep, well past the interpreter recursion limit.
@@ -125,12 +138,12 @@ def evaluate(phi: Formula, valuation: Valuation) -> int:
     values: list[int] = []
     while todo:
         node, ready = todo.pop()
-        if isinstance(node, Falsum):
+        if isinstance(node, Atom):
+            values.append(column(node.name))
+        elif isinstance(node, Falsum):
             values.append(0)
         elif isinstance(node, Verum):
-            values.append(1)
-        elif isinstance(node, Atom):
-            values.append(1 if valuation.get(node.name, 0) else 0)
+            values.append(mask)
         elif not ready:
             todo.append((node, True))
             if isinstance(node, Not):
@@ -141,18 +154,18 @@ def evaluate(phi: Formula, valuation: Valuation) -> int:
             else:
                 raise TypeError(f"not a formula: {node!r}")
         elif isinstance(node, Not):
-            values.append(1 - values.pop())
+            values.append(mask ^ values.pop())
         else:
             right = values.pop()
             left = values.pop()
             if isinstance(node, Or):
-                values.append(min(1, left + right))
+                values.append(left | right)
             elif isinstance(node, And):
-                values.append(left * right)
+                values.append(left & right)
             elif isinstance(node, Implies):
-                values.append(min(1, (1 - left) + right))
+                values.append((mask ^ left) | right)
             else:
-                values.append(1 if left == right else 0)
+                values.append(mask ^ left ^ right)
     return values[0]
 
 

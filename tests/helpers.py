@@ -4,15 +4,17 @@ from __future__ import annotations
 
 import itertools
 import random
-from typing import NamedTuple
+from typing import Iterable, NamedTuple
 
 import hypothesis.strategies as st
 
 from hornsat import (
     BOT,
+    DEFAULT_SYMBOL_CAP,
     TOP_LITERAL,
     And,
     Atom,
+    Classification,
     Clause,
     ClauseBudgetError,
     CnfFormula,
@@ -29,6 +31,9 @@ from hornsat import (
     Top,
     Verum,
     antecedent_atoms,
+    enumerate_valuations,
+    evaluate,
+    symbols,
 )
 
 # The three benchmark inputs exercised end to end.
@@ -276,3 +281,39 @@ def reference_to_cnf(phi: Formula, max_clauses: int | None = None) -> CnfFormula
             kept = [pair for pair in kept if pair != _BOT_PAIR]
         clauses.append(Clause(tuple(Literal(*pair) for pair in kept)))
     return CnfFormula(tuple(clauses) or (Clause((TOP_LITERAL,)),))
+
+
+# The truth-table oracle as it was before it held one bit per row: every
+# question walks the formula once per valuation dict.  The reference the
+# bit-parallel ``hornsat.oracle`` must match.
+def reference_classify(phi: Formula, cap: int = DEFAULT_SYMBOL_CAP) -> Classification:
+    rows = [evaluate(phi, v) for v in enumerate_valuations(symbols(phi), cap)]
+    if all(rows):
+        return Classification.VALID
+    if not any(rows):
+        return Classification.CONTRADICTORY
+    return Classification.SATISFIABLE
+
+
+def reference_semantic_consequence(
+    premises: Iterable[Formula], phi: Formula, cap: int = DEFAULT_SYMBOL_CAP
+) -> bool:
+    premises = list(premises)
+    syms = symbols(phi)
+    for premise in premises:
+        syms |= symbols(premise)
+    for valuation in enumerate_valuations(syms, cap):
+        if all(evaluate(p, valuation) for p in premises) and not evaluate(phi, valuation):
+            return False
+    return True
+
+
+def reference_equivalent(phi: Formula, psi: Formula, cap: int = DEFAULT_SYMBOL_CAP) -> bool:
+    for valuation in enumerate_valuations(symbols(phi) | symbols(psi), cap):
+        if evaluate(phi, valuation) != evaluate(psi, valuation):
+            return False
+    return True
+
+
+def reference_models(phi: Formula, cap: int = DEFAULT_SYMBOL_CAP) -> list[dict[str, int]]:
+    return [v for v in enumerate_valuations(symbols(phi), cap) if evaluate(phi, v)]

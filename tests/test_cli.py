@@ -178,3 +178,38 @@ def test_undecodable_input_is_an_error(tmp_path, capsys):
 def test_deep_parentheses_are_an_error(write, capsys):
     assert cli_main(["solve", write("(" * 600 + "p" + ")" * 600)]) == 1
     _assert_one_error_line(capsys.readouterr())
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["classify", "-", "--max-symbols", "-1"],
+        ["solve", "-", "--max-clauses", "-5"],
+        ["trace", "-", "--max-clauses", "-1"],
+        ["convert", "-", "--max-clauses", "-1"],
+    ],
+)
+def test_negative_limits_are_usage_errors(argv, capsys):
+    with pytest.raises(SystemExit) as excinfo:
+        cli_main(argv)
+    assert excinfo.value.code == 2
+    assert "must be non-negative" in capsys.readouterr().err
+
+
+def test_classify_out_of_memory_is_an_error(write, monkeypatch, capsys):
+    def exhausted(phi, cap):
+        raise MemoryError
+
+    monkeypatch.setattr("hornsat.cli.classify", exhausted)
+    assert cli_main(["classify", write("p")]) == 1
+    captured = capsys.readouterr()
+    _assert_one_error_line(captured)
+    assert captured.err != "error: \n"
+
+
+def test_classify_beyond_any_table_size_is_an_error(write, capsys):
+    # A table of 2^70 bits is refused by the interpreter as too large an
+    # int (OverflowError) before anything is allocated.
+    text = " | ".join(f"v{i}" for i in range(70))
+    assert cli_main(["classify", write(text), "--max-symbols", "100"]) == 1
+    _assert_one_error_line(capsys.readouterr())

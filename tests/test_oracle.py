@@ -1,5 +1,9 @@
 """Truth-table oracle: enumeration, classification, consequence, models."""
 
+import random
+import time
+import tracemalloc
+
 import pytest
 from hypothesis import given
 
@@ -20,10 +24,22 @@ from hornsat import (
     models,
     parse_formula,
     semantic_consequence,
+    symbols,
     to_cnf,
 )
 
-from helpers import SAT_CHAIN_TEXT, UNSAT_CHAIN_TEXT, formula_strategy
+from hornsat.cli import cli_main
+
+from helpers import (
+    SAT_CHAIN_TEXT,
+    UNSAT_CHAIN_TEXT,
+    formula_strategy,
+    random_formula,
+    reference_classify,
+    reference_equivalent,
+    reference_models,
+    reference_semantic_consequence,
+)
 
 
 def test_enumerate_valuations_empty():
@@ -108,3 +124,68 @@ def test_equivalent_is_a_congruence(phi, other):
     for connective in (And, Or, Implies):
         assert equivalent(connective(phi, other), connective(rewritten, other))
         assert equivalent(connective(other, phi), connective(other, rewritten))
+
+
+def _assert_matches_reference(phi, other, premise):
+    assert classify(phi) is reference_classify(phi)
+    assert [list(m.items()) for m in models(phi)] == [
+        list(m.items()) for m in reference_models(phi)
+    ]
+    for psi in (other, desugar(phi)):
+        assert equivalent(phi, psi) == reference_equivalent(phi, psi)
+    for premises in ([], [premise], [premise, other]):
+        assert semantic_consequence(premises, phi) == reference_semantic_consequence(
+            premises, phi
+        )
+
+
+# The premise draws on symbols ``phi`` lacks, so the consequence table
+# spans more symbols than ``phi``'s own.
+@given(
+    formula_strategy(),
+    formula_strategy(max_leaves=6),
+    formula_strategy(names=("r", "s", "t", "u"), max_leaves=6),
+)
+def test_oracle_matches_per_row_reference(phi, other, premise):
+    _assert_matches_reference(phi, other, premise)
+
+
+def test_oracle_matches_per_row_reference_on_seeded_formulas():
+    rng = random.Random(4)
+    for _ in range(1000):
+        names = [f"x{i}" for i in range(rng.randint(1, 10))]
+        own = names[: max(1, len(names) - 2)]
+        phi = random_formula(rng, own, depth=rng.randint(0, 5))
+        other = random_formula(rng, own, depth=rng.randint(0, 3))
+        premise = random_formula(rng, names, depth=rng.randint(0, 3))
+        _assert_matches_reference(phi, other, premise)
+
+
+# Twenty symbols, the default cap: a ring of implications plus a clause
+# over all of them, true exactly when every symbol is 1.
+_CAP_TEXT = " & ".join(f"(v{i} -> v{(i + 1) % 20})" for i in range(20)) + (
+    " & (" + " | ".join(f"v{i}" for i in range(20)) + ")"
+)
+
+
+def test_classify_at_the_symbol_cap_is_sub_second():
+    phi = parse_formula(_CAP_TEXT)
+    assert len(symbols(phi)) == 20
+    start = time.perf_counter()
+    assert classify(phi) is Classification.SATISFIABLE
+    assert time.perf_counter() - start < 1.0
+    assert models(phi) == [{f"v{i}": 1 for i in range(20)}]
+    tracemalloc.start()
+    try:
+        classify(phi)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 64 * 2**20
+
+
+def test_classify_at_the_symbol_cap_end_to_end(tmp_path, capsys):
+    path = tmp_path / "cap.txt"
+    path.write_text(_CAP_TEXT + "\n", encoding="utf-8")
+    assert cli_main(["classify", str(path)]) == 0
+    assert capsys.readouterr().out == "Satisfiable\n"

@@ -13,11 +13,13 @@ from hornsat import (
     SHORTCUT_NO_BOT_CONSEQUENT,
     SHORTCUT_NO_TOP_ANTECEDENT,
     TOP,
+    Classification,
     Conj,
     HornFormula,
     HornImplication,
     Top,
     antecedent_atoms,
+    classify,
     extract_model,
     horn_to_formula,
     models,
@@ -258,6 +260,23 @@ def test_early_stop_set_is_subset_of_full_fixpoint():
     early = solve(horn, early_stop=True).final_set
     assert early == {TOP, BOT}
     assert early < full
+
+
+def test_solver_matches_oracle_on_sixteen_symbols():
+    rng = random.Random(16)
+    pool = [f"v{i}" for i in range(16)]
+    start = time.perf_counter()
+    verdicts = set()
+    for _ in range(200):
+        horn = random_horn(rng, pool, rng.randint(16, 40), bot_consequent_rate=0.1)
+        phi = horn_to_formula(horn)
+        outcome = solve(horn)
+        assert outcome.satisfiable == (classify(phi) is not Classification.CONTRADICTORY)
+        if outcome.satisfiable:
+            assert satisfies(extract_model(horn, outcome.final_set), phi)
+        verdicts.add(outcome.satisfiable)
+    assert verdicts == {True, False}
+    assert time.perf_counter() - start < 10.0
 
 
 def test_reverse_chain_scales_linearly():
