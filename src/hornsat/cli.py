@@ -11,8 +11,10 @@ from __future__ import annotations
 import argparse
 import json
 import sys
+from bisect import bisect_right
 from dataclasses import dataclass
-from typing import Iterator, Sequence
+from functools import cache
+from typing import Callable, Iterator, Sequence
 
 from .formula import symbols
 from .horn import HornFormula, HornImplication, NotHornError, Top, horn_from_clauses
@@ -56,25 +58,61 @@ def render_implication(imp: HornImplication) -> str:
     return f"{left} -> {display_atom(imp.consequent)}"
 
 
-def _displayed(atoms) -> list[str]:
-    return sorted(display_atom(a) for a in atoms)
-
-
-def _displayed_steps(
+def _rendered_sets(
     steps: Sequence[TraceStep],
-) -> Iterator[tuple[TraceStep, list[str], list[str]]]:
-    """Yield each step with its sorted, displayed ``set_before`` and
-    ``set_after``.  A step's ``set_before`` is the previous step's
-    ``set_after``, so each set is built and sorted once."""
-    before = _displayed(steps[0].set_before) if steps else []
+    encode: Callable[[str], str],
+    render: Callable[[list[str]], str],
+) -> Iterator[tuple[TraceStep, str, str]]:
+    """Yield each step with its ``set_before`` and ``set_after`` rendered.
+
+    ``render`` lays out the set's elements, each ``encode``-d once, in
+    sorted order of their displayed names.  A step's ``set_after`` is its
+    ``set_before`` plus ``consequent_added`` when that is new, and the next
+    step's ``set_before``, so only the first step's ``set_before`` is read,
+    each step costs one insertion, and each distinct set is rendered once.
+    """
+    if not steps:
+        return
+    members = set(steps[0].set_before)
+    names = sorted(display_atom(a) for a in members)
+    items = [encode(name) for name in names]
+    after = render(items)
     for step in steps:
-        after = _displayed(step.set_after)
-        yield step, before, after
         before = after
+        atom = step.consequent_added
+        if atom is not None and atom not in members:
+            members.add(atom)
+            name = display_atom(atom)
+            position = bisect_right(names, name)
+            names.insert(position, name)
+            items.insert(position, encode(name))
+            after = render(items)
+        yield step, before, after
 
 
-def _render_set(displayed: list[str]) -> str:
-    return "{" + ", ".join(displayed) + "}"
+def _text_set(items: list[str]) -> str:
+    return "{" + ", ".join(items) + "}"
+
+
+# ``to_json`` writes out the layout of ``json.dumps(document, indent=2)``
+# by hand: with ``indent``, json falls back to its pure-Python encoder,
+# which costs calls per value and would render every set twice.  Strings
+# go through ``json.dumps``, so they are escaped the same way.
+def _json_block(items: list[str], depth: int, brackets: str = "[]") -> str:
+    """A JSON array (or, with ``brackets="{}"``, object) at nesting
+    ``depth`` of already encoded ``items``."""
+    if not items:
+        return brackets
+    pad = "\n" + "  " * (depth + 1)
+    return brackets[0] + pad + ("," + pad).join(items) + "\n" + "  " * depth + brackets[1]
+
+
+def _json_step_set(items: list[str]) -> str:
+    return _json_block(items, 3)  # document > steps > step > set
+
+
+def _json_str(value: str | None) -> str:
+    return "null" if value is None else json.dumps(value)
 
 
 @dataclass(frozen=True)
@@ -91,53 +129,72 @@ class TraceDocument:
     shortcut: str | None
 
     def to_json(self) -> str:
-        payload = {
-            "input_formula": self.input_formula,
-            "horn_form": list(self.horn_form),
-            "steps": [
-                {
-                    "fired_index": step.fired_index,
-                    "consequent_added": None
-                    if step.consequent_added is None
-                    else display_atom(step.consequent_added),
-                    "set_before": before,
-                    "set_after": after,
-                    "remaining_after": step.remaining_after,
-                }
-                for step, before, after in _displayed_steps(self.steps)
-            ],
-            "final_set": list(self.final_set),
-            "verdict": self.verdict,
-            "model": None if self.model is None else dict(sorted(self.model.items())),
-            "step_count": self.step_count,
-            "shortcut": self.shortcut,
-        }
-        return json.dumps(payload, indent=2)
+        """The document as ``json.dumps(..., indent=2)`` prints it: keys in
+        field order, each set a sorted array, the model sorted by name."""
+        parts = [
+            '{\n  "input_formula": ',
+            json.dumps(self.input_formula),
+            ',\n  "horn_form": ',
+            _json_block([json.dumps(imp) for imp in self.horn_form], 1),
+            ',\n  "steps": ',
+        ]
+        opening = "[\n    {"
+        for step, before, after in _rendered_sets(self.steps, json.dumps, _json_step_set):
+            index, consequent = step.fired_index, step.consequent_added
+            parts += (
+                opening,
+                '\n      "fired_index": ',
+                "null" if index is None else str(index),
+                ',\n      "consequent_added": ',
+                _json_str(None if consequent is None else display_atom(consequent)),
+                ',\n      "set_before": ',
+                before,
+                ',\n      "set_after": ',
+                after,
+                ',\n      "remaining_after": ',
+                str(step.remaining_after),
+                "\n    }",
+            )
+            opening = ",\n    {"
+        parts.append("\n  ]" if self.steps else "[]")
+        model = "null"
+        if self.model is not None:
+            entries = [f"{json.dumps(name)}: {value}" for name, value in sorted(self.model.items())]
+            model = _json_block(entries, 1, "{}")
+        parts += (
+            ',\n  "final_set": ',
+            _json_block([json.dumps(name) for name in self.final_set], 1),
+            ',\n  "verdict": ',
+            json.dumps(self.verdict),
+            ',\n  "model": ',
+            model,
+            ',\n  "step_count": ',
+            str(self.step_count),
+            ',\n  "shortcut": ',
+            _json_str(self.shortcut),
+            "\n}",
+        )
+        return "".join(parts)
 
     def to_text(self) -> str:
-        lines = [f"input:    {self.input_formula}"]
-        lines.append("horn:")
+        parts = [f"input:    {self.input_formula}\nhorn:"]
         for index, implication in enumerate(self.horn_form):
-            lines.append(f"  [{index}] {implication}")
+            parts.append(f"\n  [{index}] {implication}")
         if self.shortcut:
-            lines.append(f"shortcut: {self.shortcut}")
-        lines.append("trace:")
-        for number, (step, before, after) in enumerate(_displayed_steps(self.steps), start=1):
+            parts.append(f"\nshortcut: {self.shortcut}")
+        parts.append("\ntrace:")
+        steps = _rendered_sets(self.steps, str, _text_set)
+        for number, (step, before, after) in enumerate(steps, start=1):
             if step.fired_index is None:
-                lines.append(
-                    f"  {number}. stop ({step.remaining_after} remaining): {_render_set(after)}"
-                )
+                parts += (f"\n  {number}. stop ({step.remaining_after} remaining): ", after)
             else:
-                lines.append(
-                    f"  {number}. fire [{step.fired_index}] {self.horn_form[step.fired_index]}: "
-                    f"{_render_set(before)} => {_render_set(after)}"
-                )
-        lines.append("final:    {" + ", ".join(self.final_set) + "}")
-        lines.append(f"steps:    {self.step_count}")
-        lines.append(f"verdict:  {self.verdict}")
+                implication = self.horn_form[step.fired_index]
+                parts += (f"\n  {number}. fire [{step.fired_index}] {implication}: ", before, " => ", after)
+        parts.append("\nfinal:    {" + ", ".join(self.final_set) + "}")
+        parts.append(f"\nsteps:    {self.step_count}\nverdict:  {self.verdict}")
         if self.model is not None:
-            lines.append(f"model:    {_model_line(self.model)}")
-        return "\n".join(lines)
+            parts.append(f"\nmodel:    {_model_line(self.model)}")
+        return "".join(parts)
 
 
 def build_trace_document(
@@ -262,7 +319,10 @@ def _add_input_options(parser: argparse.ArgumentParser) -> None:
     )
 
 
+@cache
 def _build_parser() -> argparse.ArgumentParser:
+    """The one parser of this process, built on the first call; every
+    ``parse_args`` fills a fresh namespace, so calls share no state."""
     parser = argparse.ArgumentParser(
         prog="hornsat",
         description="Decide Horn-clause satisfiability with step traces and least models.",

@@ -35,7 +35,7 @@ DEFAULT_SYMBOL_CAP = 20
 
 
 class SymbolCapError(ValueError):
-    """A truth-table enumeration would exceed the symbol cap."""
+    """A truth table would exceed the symbol cap, or the size of any int."""
 
 
 class Classification(Enum):
@@ -68,7 +68,10 @@ class _Table:
         self.names = _capped_names(syms, cap)
         k = len(self.names)
         self.rows = 1 << k
-        self.mask = (1 << self.rows) - 1
+        try:
+            self.mask = (1 << self.rows) - 1
+        except OverflowError:  # more bits than any int can hold
+            raise SymbolCapError(f"the truth table over {k} symbols is too large") from None
         self.column: dict[str, int] = {}
         for position, name in enumerate(self.names):
             # Name ``position`` is 1 in the upper half of every block of

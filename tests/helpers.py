@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import itertools
+import json
 import random
 from typing import Iterable, NamedTuple
 
@@ -35,6 +36,7 @@ from hornsat import (
     evaluate,
     symbols,
 )
+from hornsat.cli import _model_line, display_atom
 
 # The three benchmark inputs exercised end to end.
 UNSAT_CHAIN_TEXT = "p & (~r | s) & (r | ~p | ~q) & (~r | ~s) & q"
@@ -317,3 +319,74 @@ def reference_equivalent(phi: Formula, psi: Formula, cap: int = DEFAULT_SYMBOL_C
 
 def reference_models(phi: Formula, cap: int = DEFAULT_SYMBOL_CAP) -> list[dict[str, int]]:
     return [v for v in enumerate_valuations(symbols(phi), cap) if evaluate(phi, v)]
+
+
+# The trace renderer as it was before ``TraceDocument`` rendered each set
+# once: every step re-sorts both of its sets, and the JSON goes through
+# ``json.dumps(..., indent=2)``.  The reference ``to_json`` and ``to_text``
+# must match byte for byte.
+def _displayed(atoms) -> list[str]:
+    return sorted(display_atom(a) for a in atoms)
+
+
+def _displayed_steps(steps):
+    before = _displayed(steps[0].set_before) if steps else []
+    for step in steps:
+        after = _displayed(step.set_after)
+        yield step, before, after
+        before = after
+
+
+def _render_set(displayed: list[str]) -> str:
+    return "{" + ", ".join(displayed) + "}"
+
+
+def reference_trace_json(document) -> str:
+    payload = {
+        "input_formula": document.input_formula,
+        "horn_form": list(document.horn_form),
+        "steps": [
+            {
+                "fired_index": step.fired_index,
+                "consequent_added": None
+                if step.consequent_added is None
+                else display_atom(step.consequent_added),
+                "set_before": before,
+                "set_after": after,
+                "remaining_after": step.remaining_after,
+            }
+            for step, before, after in _displayed_steps(document.steps)
+        ],
+        "final_set": list(document.final_set),
+        "verdict": document.verdict,
+        "model": None if document.model is None else dict(sorted(document.model.items())),
+        "step_count": document.step_count,
+        "shortcut": document.shortcut,
+    }
+    return json.dumps(payload, indent=2)
+
+
+def reference_trace_text(document) -> str:
+    lines = [f"input:    {document.input_formula}"]
+    lines.append("horn:")
+    for index, implication in enumerate(document.horn_form):
+        lines.append(f"  [{index}] {implication}")
+    if document.shortcut:
+        lines.append(f"shortcut: {document.shortcut}")
+    lines.append("trace:")
+    for number, (step, before, after) in enumerate(_displayed_steps(document.steps), start=1):
+        if step.fired_index is None:
+            lines.append(
+                f"  {number}. stop ({step.remaining_after} remaining): {_render_set(after)}"
+            )
+        else:
+            lines.append(
+                f"  {number}. fire [{step.fired_index}] {document.horn_form[step.fired_index]}: "
+                f"{_render_set(before)} => {_render_set(after)}"
+            )
+    lines.append("final:    {" + ", ".join(document.final_set) + "}")
+    lines.append(f"steps:    {document.step_count}")
+    lines.append(f"verdict:  {document.verdict}")
+    if document.model is not None:
+        lines.append(f"model:    {_model_line(document.model)}")
+    return "\n".join(lines)

@@ -1,13 +1,52 @@
 """Command-line contract: exit codes, output formats, JSON schema."""
 
+import contextlib
 import io
 import json
+import random
+import time
+import tracemalloc
 
+import hypothesis.strategies as st
 import pytest
+from hypothesis import example, given
 
-from hornsat.cli import cli_main
+from hornsat import (
+    BOT,
+    SHORTCUT_NO_BOT_CONSEQUENT,
+    SHORTCUT_NO_TOP_ANTECEDENT,
+    TOP,
+    Conj,
+    HornFormula,
+    HornImplication,
+    Top,
+    extract_model,
+    horn_from_clauses,
+    parse_formula,
+    precheck,
+    saturate,
+    solve,
+    symbols,
+    to_cnf,
+)
+from hornsat.cli import (
+    TraceDocument,
+    _build_parser,
+    build_trace_document,
+    cli_main,
+    render_implication,
+)
 
-from helpers import SAT_CHAIN_TEXT, UNSAT_CHAIN_TEXT, UNSAT_SHORT_TEXT
+from helpers import (
+    SAT_CHAIN_TEXT,
+    UNSAT_CHAIN_TEXT,
+    UNSAT_SHORT_TEXT,
+    random_horn,
+    reference_trace_json,
+    reference_trace_text,
+    rule,
+    unit,
+)
 
 
 @pytest.fixture
@@ -208,8 +247,235 @@ def test_classify_out_of_memory_is_an_error(write, monkeypatch, capsys):
 
 
 def test_classify_beyond_any_table_size_is_an_error(write, capsys):
-    # A table of 2^70 bits is refused by the interpreter as too large an
-    # int (OverflowError) before anything is allocated.
+    # A table of 2^70 bits is too large for any int; it is refused before
+    # anything is allocated, with a message that names the table.
     text = " | ".join(f"v{i}" for i in range(70))
     assert cli_main(["classify", write(text), "--max-symbols", "100"]) == 1
-    _assert_one_error_line(capsys.readouterr())
+    captured = capsys.readouterr()
+    _assert_one_error_line(captured)
+    assert "truth table over 70 symbols is too large" in captured.err
+
+
+def _run(argv, capsys):
+    """Exit code, stdout and stderr of one ``cli_main`` call."""
+    try:
+        code = cli_main(argv)
+    except SystemExit as exc:
+        code = exc.code
+    captured = capsys.readouterr()
+    return code, captured.out, captured.err
+
+
+def test_repeated_calls_share_no_state(write, capsys):
+    sat = write("(~p | q) & (~q | r)", name="sat.txt")
+    wide = write("a & (b | c | d)", name="wide.txt")
+    runs = [
+        ["solve", sat, "--no-precheck"],
+        ["solve", sat],
+        ["trace", write(SAT_CHAIN_TEXT, name="chain.txt"), "--json"],
+        ["trace", write(UNSAT_SHORT_TEXT, name="short.txt")],
+        ["classify", wide, "--max-symbols", "3"],
+        ["classify", wide],
+        ["solve", sat, "--max-clauses", "x"],
+        ["solve", sat, "--max-clauses", "1"],
+        ["solve", sat],
+    ]
+    alone = []
+    for argv in runs:
+        _build_parser.cache_clear()  # a fresh parser, as in a new process
+        alone.append(_run(argv, capsys))
+    assert [code for code, _, _ in alone] == [10, 10, 10, 20, 1, 0, 2, 1, 10]
+    assert "shortcut" not in alone[0][2] and "shortcut" in alone[1][2]
+
+    parser = _build_parser()
+    for _ in range(2):
+        assert [_run(argv, capsys) for argv in runs] == alone
+    assert _build_parser() is parser
+
+
+_NAMES = ("p", "q", "z", "top", "é", 'a"b')  # "top" displays like TOP
+_SHORTCUTS = (
+    None,
+    SHORTCUT_NO_BOT_CONSEQUENT,
+    SHORTCUT_NO_TOP_ANTECEDENT,
+    f"{SHORTCUT_NO_BOT_CONSEQUENT}; {SHORTCUT_NO_TOP_ANTECEDENT}",
+)
+_IMPLICATIONS = st.builds(
+    HornImplication,
+    st.one_of(
+        st.just(Top()),
+        st.lists(st.sampled_from(_NAMES + (BOT,)), min_size=1, max_size=3).map(
+            lambda atoms: Conj(tuple(atoms))
+        ),
+    ),
+    st.sampled_from(_NAMES + (BOT,)),
+)
+
+
+def _document(input_formula, horn, start, early_stop, model, shortcut):
+    final, steps = saturate(horn, start, early_stop)
+    return TraceDocument(
+        input_formula=input_formula,
+        horn_form=tuple(render_implication(imp) for imp in horn.implications),
+        steps=steps,
+        final_set=tuple(sorted(final)),
+        verdict="UNSAT" if BOT in final else "SAT",
+        model=model,
+        step_count=len(steps),
+        shortcut=shortcut,
+    )
+
+
+def _assert_renders_like_reference(document):
+    assert document.to_json() == reference_trace_json(document)
+    assert document.to_text() == reference_trace_text(document)
+
+
+@given(
+    input_formula=st.text(max_size=8),
+    implications=st.lists(_IMPLICATIONS, max_size=10),
+    extra=st.sets(st.sampled_from(_NAMES + (BOT,)), max_size=3),
+    early_stop=st.booleans(),
+    model=st.one_of(st.none(), st.dictionaries(st.sampled_from(_NAMES), st.integers(0, 1))),
+    shortcut=st.sampled_from(_SHORTCUTS),
+)
+@example(  # early stop with an implication left unfired
+    input_formula="",
+    implications=[unit(BOT), unit("p")],
+    extra=set(),
+    early_stop=True,
+    model=None,
+    shortcut=None,
+)
+@example(  # a consequent already in the set, and an empty model
+    input_formula="p ∧ q",
+    implications=[unit("p"), unit("p"), rule(("p",), "top")],
+    extra={"q"},
+    early_stop=False,
+    model={},
+    shortcut=SHORTCUT_NO_BOT_CONSEQUENT,
+)
+@example(  # no implications at all
+    input_formula="top",
+    implications=[],
+    extra=set(),
+    early_stop=True,
+    model={},
+    shortcut=_SHORTCUTS[3],
+)
+def test_trace_rendering_matches_reference(
+    input_formula, implications, extra, early_stop, model, shortcut
+):
+    horn = HornFormula(tuple(implications))
+    start = frozenset({TOP} | extra)
+    _assert_renders_like_reference(
+        _document(input_formula, horn, start, early_stop, model, shortcut)
+    )
+
+
+def test_trace_rendering_matches_reference_on_seeded_runs():
+    rng = random.Random(53)
+    for _ in range(500):
+        horn = random_horn(rng, _NAMES, rng.randint(0, 25), bot_antecedent_rate=0.2)
+        outcome = solve(horn, early_stop=rng.random() < 0.8)
+        model = extract_model(horn, outcome.final_set) if outcome.satisfiable else None
+        shortcut = rng.choice(_SHORTCUTS)
+        text = rng.choice(["p & q", " p ∧ q\n", "¬p → ⊥", ""])
+        _assert_renders_like_reference(build_trace_document(text, horn, outcome, model, shortcut))
+
+
+@pytest.mark.parametrize(
+    "text",
+    [
+        UNSAT_CHAIN_TEXT,  # early stop leaves nothing unfired
+        "~p & p & q & (~q | r)",  # early stop with implications left
+        "p & p & (~p | q) & (~q | p)",  # consequents already in the set
+        "top",  # no implications, both shortcuts
+        "~p | q",  # one shortcut
+        "p ∧ q",  # non-ASCII input
+    ],
+)
+@pytest.mark.parametrize("json_flag", [[], ["--json"]])
+def test_trace_output_matches_reference(write, capsys, text, json_flag):
+    phi = parse_formula(text)
+    horn = horn_from_clauses(to_cnf(phi))
+    outcome = solve(horn, early_stop=True)
+    model = None
+    if outcome.satisfiable:
+        model = extract_model(horn, outcome.final_set)
+        for name in symbols(phi):
+            model.setdefault(name, 0)
+    shortcut = "; ".join(precheck(horn)) or None
+    document = build_trace_document(text, horn, outcome, model, shortcut)
+    render = reference_trace_json if json_flag else reference_trace_text
+    assert cli_main(["trace", write(text), *json_flag]) in (10, 20)
+    out = capsys.readouterr().out
+    assert out == render(document) + "\n"
+    if text == "p ∧ q" and json_flag:
+        assert '"input_formula": "p \\u2227 q"' in out
+
+
+class _Sink:
+    """A standard output that keeps what is written without copying it."""
+
+    def __init__(self):
+        self.parts = []
+
+    def write(self, text):
+        self.parts.append(text)
+        return len(text)
+
+    def flush(self):
+        pass
+
+
+def test_trace_json_scales_with_output_size(tmp_path):
+    links = 2_000
+    clauses = [f"-{k} {k + 1} 0" for k in reversed(range(1, links + 1))] + ["1 0"]
+    path = tmp_path / "chain.cnf"
+    path.write_text(f"p cnf {links + 1} {len(clauses)}\n" + "\n".join(clauses) + "\n", encoding="utf-8")
+    argv = ["trace", str(path), "--dimacs", "--json"]
+
+    sink = _Sink()
+    started = time.perf_counter()
+    with contextlib.redirect_stdout(sink):
+        assert cli_main(argv) == 10
+    elapsed = time.perf_counter() - started
+    out = "".join(sink.parts)
+    del sink
+
+    traced = _Sink()
+    tracemalloc.start()
+    try:
+        with contextlib.redirect_stdout(traced):
+            cli_main(argv)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    del traced
+    assert elapsed < 1.0
+    assert peak < 3 * len(out)
+
+    # Replay each step as it is decoded, so the sets are never all held.
+    replayed = set()
+    steps = []
+
+    def replay(entry):
+        if "set_after" not in entry:
+            return entry
+        before, after = entry["set_before"], entry["set_after"]
+        assert before == sorted(before) and after == sorted(after)
+        if not steps:
+            replayed.update(before)
+        assert set(before) == replayed
+        if entry["consequent_added"] is not None:
+            replayed.add(entry["consequent_added"])
+        assert set(after) == replayed
+        steps.append(entry["fired_index"])
+        return None
+
+    document = json.loads(out, object_hook=replay)
+    assert steps == [*range(links, -1, -1), None]
+    assert document["step_count"] == links + 2
+    assert document["final_set"] == sorted(replayed) == sorted([*(f"x{k}" for k in range(1, links + 2)), "top"])
+    assert document["model"] == {f"x{k}": 1 for k in range(1, links + 2)}
