@@ -228,11 +228,13 @@ def _read_input(path: str) -> str:
 
 
 def _load_cnf(args: argparse.Namespace) -> tuple[str, CnfFormula, set[str]]:
-    """Read the input and produce clauses plus the source symbol set."""
+    """Read the input and produce clauses plus the source symbols that the
+    model must name even where no implication mentions them."""
     text = _read_input(args.path)
     if getattr(args, "dimacs", False):
-        cnf = parse_dimacs(text)
-        return text, cnf, cnf.symbols()
+        # No DIMACS literal is ~bot, so no clause is dropped and every atom
+        # is in the implications' symbols, which extract_model reads.
+        return text, parse_dimacs(text), set()
     phi = parse_formula(text)
     return text, to_cnf(phi, max_clauses=args.max_clauses), symbols(phi)
 

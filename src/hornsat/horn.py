@@ -112,6 +112,27 @@ def basic_to_implication(clause: Clause) -> HornImplication:
     return HornImplication(antecedent, consequent)
 
 
+# Shared by every unit implication that horn_from_clauses builds.
+_TOP = Top()
+
+
+def _conj(atoms: list[str]) -> Conj:
+    """A conjunction built without the constructor's checks, for callers
+    that guarantee ``atoms`` is nonempty and free of verum."""
+    conj = object.__new__(Conj)
+    object.__setattr__(conj, "atoms", tuple(dict.fromkeys(atoms)))
+    return conj
+
+
+def _implication(antecedent: Antecedent, consequent: str) -> HornImplication:
+    """An implication built without the constructor's check, for callers
+    whose consequent is an atom of a literal and so never verum."""
+    implication = object.__new__(HornImplication)
+    object.__setattr__(implication, "antecedent", antecedent)
+    object.__setattr__(implication, "consequent", consequent)
+    return implication
+
+
 def horn_from_clauses(cnf: CnfFormula) -> HornFormula:
     """Map each clause to an implication, preserving clause order.
 
@@ -119,14 +140,30 @@ def horn_from_clauses(cnf: CnfFormula) -> HornFormula:
     dropped first; removal preserves equivalence.  Raises
     :class:`NotHornError` with the position (in ``cnf``) of the first
     clause that has two or more positive literals.
+
+    Each clause is read once: its positive atoms and its negative atoms
+    are collected until a verum literal (negative falsum) drops it.
     """
     implications: list[HornImplication] = []
     for index, clause in enumerate(cnf.clauses):
-        if TOP_LITERAL in clause.literals:
-            continue
-        if not is_basic_horn(clause):
-            raise NotHornError(index, clause)
-        implications.append(basic_to_implication(clause))
+        positives: list[str] = []
+        negatives: list[str] = []
+        for lit in clause.literals:
+            if lit.positive:
+                positives.append(lit.atom)
+            elif lit.atom == BOT:
+                break
+            else:
+                negatives.append(lit.atom)
+        else:
+            if len(positives) > 1:
+                raise NotHornError(index, clause)
+            implications.append(
+                _implication(
+                    _conj(negatives) if negatives else _TOP,
+                    positives[0] if positives else BOT,
+                )
+            )
     return HornFormula(tuple(implications))
 
 
@@ -137,12 +174,11 @@ def horn_from_formula(phi: Formula, max_clauses: int | None = None) -> HornFormu
 
 def horn_symbols(phi: HornFormula) -> set[str]:
     """Propositional symbol names occurring in ``phi`` (constants excluded)."""
-    found: set[str] = set()
+    found = {imp.consequent for imp in phi.implications}
     for imp in phi.implications:
         if isinstance(imp.antecedent, Conj):
-            found.update(atom for atom in imp.antecedent.atoms if atom != BOT)
-        if imp.consequent != BOT:
-            found.add(imp.consequent)
+            found.update(imp.antecedent.atoms)
+    found.discard(BOT)
     return found
 
 

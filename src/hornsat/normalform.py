@@ -21,6 +21,7 @@ literals; the verum literal is the negation of falsum.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from itertools import chain
 
 from .formula import And, Atom, Falsum, Formula, Iff, Implies, Not, Or, Valuation, Verum
 
@@ -95,6 +96,14 @@ class Clause:
         for lit in self.literals[1:]:
             phi = Or(phi, lit.to_formula())
         return phi
+
+
+def _clause(literals: tuple[Literal, ...]) -> Clause:
+    """A clause built without the constructor's check, for callers that
+    already guarantee ``literals`` is nonempty."""
+    clause = object.__new__(Clause)
+    object.__setattr__(clause, "literals", literals)
+    return clause
 
 
 @dataclass(frozen=True)
@@ -197,27 +206,17 @@ def to_cnf(phi: Formula, max_clauses: int | None = None) -> CnfFormula:
     dropped, the single verum clause remains.
     """
     raw = _clause_lists(phi, max_clauses)
-    interned: dict[tuple[str, bool], Literal] = {}
+    # One Literal per distinct pair: a blowup repeats the same few pairs
+    # across every clause.
+    literal_of = {pair: Literal(*pair) for pair in set(chain.from_iterable(raw))}.__getitem__
     clauses: list[Clause] = []
     for pairs in raw:
         if _TOP_PAIR in pairs:
             continue
-        if len(pairs) > 1:
-            seen: set[tuple[str, bool]] = set()
-            kept: list[tuple[str, bool]] = []
-            for pair in pairs:
-                if pair not in seen:
-                    seen.add(pair)
-                    kept.append(pair)
-            if len(kept) > 1:
-                kept = [pair for pair in kept if pair != _BOT_PAIR]
-        else:
-            kept = pairs
-        literals = tuple(
-            interned.get(pair) or interned.setdefault(pair, Literal(*pair)) for pair in kept
-        )
-        clauses.append(Clause(literals))
+        kept = dict.fromkeys(pairs)
+        if len(kept) > 1:
+            kept.pop(_BOT_PAIR, None)
+        clauses.append(_clause(tuple(map(literal_of, kept))))
     if not clauses:
         clauses.append(Clause((TOP_LITERAL,)))
     return CnfFormula(tuple(clauses))
-

@@ -13,7 +13,7 @@ from dataclasses import dataclass
 from typing import Sequence
 
 from .formula import And, Atom, Falsum, Formula, Iff, Implies, Not, Or, Verum
-from .normalform import BOT_LITERAL, Clause, CnfFormula, Literal
+from .normalform import BOT_LITERAL, Clause, CnfFormula, Literal, _clause
 
 __all__ = [
     "DimacsError",
@@ -223,13 +223,17 @@ def parse_dimacs(text: str) -> CnfFormula:
     """Read DIMACS CNF text into a clause list.
 
     Variable k maps to the symbol ``x<k>``; a bare ``0`` line is the empty
-    clause and maps to the single-falsum clause.  Comment lines start with
+    clause and maps to the single-falsum clause.  A literal repeated in a
+    clause counts once, at its first occurrence.  Comment lines start with
     ``c``.  Raises :class:`DimacsError` on a malformed header, a literal
     outside the declared range, or a clause without its 0 terminator.
     """
     declared_vars: int | None = None
     clauses: list[Clause] = []
-    pending: list[Literal] = []
+    # One Literal per signed variable, checked when first seen.
+    literals: dict[int, Literal] = {}
+    literal_of = literals.__getitem__
+    pending: list[int] = []
     for line_no, line in enumerate(text.splitlines(), start=1):
         stripped = line.strip()
         if not stripped or stripped.startswith("c"):
@@ -257,16 +261,18 @@ def parse_dimacs(text: str) -> CnfFormula:
                 raise DimacsError(f"line {line_no}: bad literal token {field!r}") from None
             if value == 0:
                 if pending:
-                    clauses.append(Clause(tuple(pending)))
+                    clauses.append(_clause(tuple(map(literal_of, dict.fromkeys(pending)))))
                     pending = []
                 else:
-                    clauses.append(Clause((BOT_LITERAL,)))
+                    clauses.append(_clause((BOT_LITERAL,)))
                 continue
-            if abs(value) > declared_vars:
-                raise DimacsError(
-                    f"line {line_no}: literal {value} out of range (1..{declared_vars})"
-                )
-            pending.append(Literal(f"x{abs(value)}", positive=value > 0))
+            if value not in literals:
+                if abs(value) > declared_vars:
+                    raise DimacsError(
+                        f"line {line_no}: literal {value} out of range (1..{declared_vars})"
+                    )
+                literals[value] = Literal(f"x{abs(value)}", positive=value > 0)
+            pending.append(value)
     if declared_vars is None:
         raise DimacsError("missing header")
     if pending:

@@ -33,7 +33,7 @@ from dataclasses import dataclass
 from heapq import heappop, heappush
 from typing import Iterable, Sequence
 
-from .horn import Antecedent, HornFormula, Top, horn_symbols
+from .horn import HornFormula, Top, horn_symbols
 from .normalform import BOT, TOP
 
 __all__ = [
@@ -41,7 +41,6 @@ __all__ = [
     "SHORTCUT_NO_TOP_ANTECEDENT",
     "SolveOutcome",
     "TraceStep",
-    "antecedent_atoms",
     "extract_model",
     "precheck",
     "saturate",
@@ -129,13 +128,6 @@ class SolveOutcome:
     final_set: frozenset[str]
     trace: tuple[TraceStep, ...]
     steps: int  # firings plus one terminal step
-
-
-def antecedent_atoms(antecedent: Antecedent) -> frozenset[str]:
-    """The atom set of an antecedent; the verum antecedent yields {TOP}."""
-    if isinstance(antecedent, Top):
-        return frozenset((TOP,))
-    return frozenset(antecedent.atoms)
 
 
 def saturate(

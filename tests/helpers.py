@@ -11,7 +11,9 @@ import hypothesis.strategies as st
 
 from hornsat import (
     BOT,
+    BOT_LITERAL,
     DEFAULT_SYMBOL_CAP,
+    TOP,
     TOP_LITERAL,
     And,
     Atom,
@@ -20,6 +22,7 @@ from hornsat import (
     ClauseBudgetError,
     CnfFormula,
     Conj,
+    DimacsError,
     Falsum,
     Formula,
     HornFormula,
@@ -28,12 +31,14 @@ from hornsat import (
     Implies,
     Literal,
     Not,
+    NotHornError,
     Or,
     Top,
     Verum,
-    antecedent_atoms,
+    basic_to_implication,
     enumerate_valuations,
     evaluate,
+    is_basic_horn,
     symbols,
 )
 from hornsat.cli import _model_line, display_atom
@@ -69,6 +74,13 @@ class ReferenceStep(NamedTuple):
     set_before: frozenset
     set_after: frozenset
     remaining_after: int
+
+
+def antecedent_atoms(antecedent) -> frozenset[str]:
+    """The atom set of an antecedent; the verum antecedent yields {TOP}."""
+    if isinstance(antecedent, Top):
+        return frozenset((TOP,))
+    return frozenset(antecedent.atoms)
 
 
 def reference_saturate(phi: HornFormula, start, early_stop: bool = False):
@@ -390,3 +402,143 @@ def reference_trace_text(document) -> str:
     if document.model is not None:
         lines.append(f"model:    {_model_line(document.model)}")
     return "\n".join(lines)
+
+
+# The front half as it was before each clause was read once: ``parse_dimacs``
+# built a checked Literal per occurrence, and ``horn_from_clauses`` scanned
+# each clause three times.  The references the one-pass versions must match.
+# ``reference_parse_dimacs`` has one change on top: a literal repeated in a
+# clause counts once, as it does in ``to_cnf`` (the old code kept every copy,
+# so a clause such as ``1 1 0`` was rejected as non-Horn).
+def reference_parse_dimacs(text: str) -> CnfFormula:
+    declared_vars: int | None = None
+    clauses: list[Clause] = []
+    pending: list[Literal] = []
+    for line_no, line in enumerate(text.splitlines(), start=1):
+        stripped = line.strip()
+        if not stripped or stripped.startswith("c"):
+            continue
+        if stripped.startswith("p"):
+            if declared_vars is not None:
+                raise DimacsError(f"line {line_no}: duplicate header")
+            fields = stripped.split()
+            if len(fields) != 4 or fields[1] != "cnf":
+                raise DimacsError(f"line {line_no}: malformed header {stripped!r}")
+            try:
+                declared_vars = int(fields[2])
+                int(fields[3])
+            except ValueError:
+                raise DimacsError(f"line {line_no}: malformed header {stripped!r}") from None
+            if declared_vars < 0:
+                raise DimacsError(f"line {line_no}: malformed header {stripped!r}")
+            continue
+        if declared_vars is None:
+            raise DimacsError(f"line {line_no}: clause data before the header")
+        for field in stripped.split():
+            try:
+                value = int(field)
+            except ValueError:
+                raise DimacsError(f"line {line_no}: bad literal token {field!r}") from None
+            if value == 0:
+                if pending:
+                    clauses.append(Clause(tuple(dict.fromkeys(pending))))  # the one change
+                    pending = []
+                else:
+                    clauses.append(Clause((BOT_LITERAL,)))
+                continue
+            if abs(value) > declared_vars:
+                raise DimacsError(
+                    f"line {line_no}: literal {value} out of range (1..{declared_vars})"
+                )
+            pending.append(Literal(f"x{abs(value)}", positive=value > 0))
+    if declared_vars is None:
+        raise DimacsError("missing header")
+    if pending:
+        raise DimacsError("missing 0 terminator on the last clause")
+    return CnfFormula(tuple(clauses))
+
+
+def reference_horn_from_clauses(cnf: CnfFormula) -> HornFormula:
+    implications: list[HornImplication] = []
+    for index, clause in enumerate(cnf.clauses):
+        if TOP_LITERAL in clause.literals:
+            continue
+        if not is_basic_horn(clause):
+            raise NotHornError(index, clause)
+        implications.append(basic_to_implication(clause))
+    return HornFormula(tuple(implications))
+
+
+def outcome(function, *args):
+    """What ``function(*args)`` returns, or the type and message of what it
+    raises with the ``index`` and ``clause`` a ``NotHornError`` carries."""
+    try:
+        return "returned", function(*args)
+    except Exception as exc:  # every exception is part of the compared result
+        return "raised", type(exc), str(exc), getattr(exc, "index", None), getattr(exc, "clause", None)
+
+
+def random_cnf(rng: random.Random, atoms=("p", "q", "r", BOT)) -> CnfFormula:
+    """Up to five clauses of one to four literals over ``atoms`` (falsum
+    included, so verum literals occur), repeats and complements allowed."""
+    return CnfFormula(
+        tuple(
+            Clause(
+                tuple(
+                    Literal(rng.choice(atoms), rng.random() < 0.5)
+                    for _ in range(rng.randint(1, 4))
+                )
+            )
+            for _ in range(rng.randint(0, 5))
+        )
+    )
+
+
+def random_dimacs_text(rng: random.Random) -> str:
+    """A short DIMACS text, usually well formed: literals spelled ``+3`` or
+    ``03`` as well, repeated literals, comment lines, clauses split across
+    lines; now and then a literal out of range, a bad token, a ``-0``
+    terminator or a last clause without its terminator."""
+    n_vars = rng.randint(1, 5)
+    lines = ["c generated"] if rng.random() < 0.3 else []
+    lines.append(f"p cnf {n_vars} 0")
+    for _ in range(rng.randint(0, 6)):
+        fields = []
+        for _ in range(rng.randint(0, 4)):
+            value = rng.randint(1, n_vars + (1 if rng.random() < 0.05 else 0))
+            sign = "-" if rng.random() < 0.6 else rng.choice(("", "", "+"))
+            fields.append(sign + ("0" if rng.random() < 0.05 else "") + str(value))
+        if rng.random() < 0.03:
+            fields.insert(rng.randint(0, len(fields)), rng.choice(("x", "1.0")))
+        fields.append("-0" if rng.random() < 0.05 else "0")
+        if len(fields) > 2 and rng.random() < 0.2:
+            cut = rng.randint(1, len(fields) - 1)
+            lines += (" ".join(fields[:cut]), "c inside a clause", " ".join(fields[cut:]))
+        else:
+            lines.append(" ".join(fields))
+    if rng.random() < 0.05:
+        lines.append(str(rng.randint(1, n_vars)))
+    return "\n".join(lines) + "\n"
+
+
+def planted_horn_dimacs(rng: random.Random, n_vars: int, n_clauses: int) -> tuple[str, frozenset]:
+    """DIMACS text of a satisfiable Horn 3-CNF and the names of its least
+    model: half of the variables, each a fact or derived by one rule from
+    ones derived before it; every other clause is a rule or goal that the
+    planted half satisfies."""
+    order = rng.sample(range(1, n_vars + 1), n_vars)
+    planted = order[: n_vars // 2]
+    facts = max(1, len(planted) // 10)
+    clauses = [[v] for v in planted[:facts]]
+    clauses += [[-rng.choice(planted[:i]), planted[i]] for i in range(facts, len(planted))]
+    model = set(planted)
+    while len(clauses) < n_clauses:
+        a, b, c = rng.sample(order, 3)
+        if rng.random() < 0.7:
+            if not (a in model and b in model and c not in model):
+                clauses.append([-a, -b, c])
+        elif not (a in model and b in model and c in model):
+            clauses.append([-a, -b, -c])
+    rng.shuffle(clauses)
+    lines = [f"p cnf {n_vars} {len(clauses)}"] + [" ".join(map(str, c)) + " 0" for c in clauses]
+    return "\n".join(lines) + "\n", frozenset(f"x{v}" for v in planted)

@@ -41,6 +41,7 @@ from helpers import (
     SAT_CHAIN_TEXT,
     UNSAT_CHAIN_TEXT,
     UNSAT_SHORT_TEXT,
+    planted_horn_dimacs,
     random_horn,
     reference_trace_json,
     reference_trace_text,
@@ -105,6 +106,30 @@ def test_solve_dimacs(write, capsys):
     path = write("p cnf 2 2\n1 0\n-1 2 0", name="input.cnf")
     assert cli_main(["solve", path, "--dimacs"]) == 10
     assert capsys.readouterr().out == "SAT\nx1=1 x2=1\n"
+
+
+def test_solve_dimacs_repeated_literals_count_once(write, capsys):
+    path = write("p cnf 2 2\n1 1 0\n-1 -1 2 0", name="input.cnf")
+    assert cli_main(["solve", path, "--dimacs"]) == 10
+    assert capsys.readouterr().out == "SAT\nx1=1 x2=1\n"
+    assert cli_main(["convert", path, "--dimacs"]) == 0
+    assert capsys.readouterr().out == "clauses:\n  x1\n  ~x1 | x2\nhorn:\n  top -> x1\n  x1 -> x2\n"
+
+
+def test_solve_large_dimacs_file(tmp_path, capsys):
+    text, planted = planted_horn_dimacs(random.Random(200), 100_000, 200_000)
+    path = tmp_path / "planted.cnf"
+    path.write_text(text, encoding="utf-8")
+    del text
+    started = time.perf_counter()
+    assert cli_main(["solve", str(path), "--dimacs"]) == 10
+    elapsed = time.perf_counter() - started
+    verdict, model = capsys.readouterr().out.splitlines()
+    assert verdict == "SAT"
+    assert {entry[:-2] for entry in model.split() if entry.endswith("=1")} == planted
+    # About 6 s on a 2-vCPU VM; a pass quadratic in the clause count would
+    # take hours.
+    assert elapsed < 60.0
 
 
 def test_solve_dimacs_unsat(write, capsys):

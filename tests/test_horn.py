@@ -1,14 +1,17 @@
 """Basic-Horn recognition and clause-to-implication rewriting."""
 
 import itertools
+import random
 
+import hypothesis.strategies as st
 import pytest
-from hypothesis import given
+from hypothesis import example, given
 
 from hornsat import (
     BOT,
     TOP,
     Clause,
+    CnfFormula,
     Conj,
     HornFormula,
     HornImplication,
@@ -18,11 +21,13 @@ from hornsat import (
     Verum,
     basic_to_implication,
     equivalent,
+    horn_from_clauses,
     horn_from_formula,
     horn_symbols,
     horn_to_formula,
     implication_to_formula,
     is_basic_horn,
+    parse_dimacs,
     parse_formula,
 )
 
@@ -34,6 +39,10 @@ from helpers import (
     UNSAT_SHORT_TEXT,
     clause,
     formula_strategy,
+    outcome,
+    random_cnf,
+    random_dimacs_text,
+    reference_horn_from_clauses,
     rule,
     unit,
 )
@@ -158,3 +167,36 @@ def test_implication_merge_law():
         split = parse_formula(f"({a} -> {c}) | ({b} -> {c})")
         merged = parse_formula(f"({a} & {b}) -> {c}")
         assert equivalent(split, merged)
+
+
+_LITERALS = st.builds(Literal, st.sampled_from(("p", "q", "r", BOT)), st.booleans())
+_CNFS = st.lists(st.lists(_LITERALS, min_size=1, max_size=4), max_size=5).map(
+    lambda clauses: CnfFormula(tuple(Clause(tuple(literals)) for literals in clauses))
+)
+
+
+def _cnf(*clauses):
+    return CnfFormula(tuple(clauses))
+
+
+@given(_CNFS)
+@example(_cnf())
+@example(_cnf(clause("top", "p", "q")))
+@example(_cnf(clause("p", "top", "q")))
+@example(_cnf(clause("p", "q", "top")))
+@example(_cnf(clause("p"), clause("bot", "p")))
+@example(_cnf(clause("bot"), clause("~bot", "~p")))
+@example(_cnf(clause("~p", "q", "~p", "~r", "~q")))
+def test_horn_from_clauses_matches_reference(cnf):
+    assert outcome(horn_from_clauses, cnf) == outcome(reference_horn_from_clauses, cnf)
+
+
+def test_horn_from_clauses_matches_reference_on_seeded_inputs():
+    rng = random.Random(6)
+    for _ in range(1_000):
+        cnf = random_cnf(rng)
+        assert outcome(horn_from_clauses, cnf) == outcome(reference_horn_from_clauses, cnf)
+        parsed = outcome(parse_dimacs, random_dimacs_text(rng))
+        if parsed[0] == "returned":
+            cnf = parsed[1]
+            assert outcome(horn_from_clauses, cnf) == outcome(reference_horn_from_clauses, cnf)

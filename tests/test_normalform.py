@@ -73,6 +73,13 @@ def test_complementary_pairs_are_kept():
     assert to_cnf(parse_formula("p | ~p")).clauses == (clause("p", "~p"),)
 
 
+def test_to_cnf_builds_one_literal_per_distinct_pair():
+    cnf = to_cnf(parse_formula(" | ".join(f"(a{i} & b{i})" for i in range(15))))
+    assert len(cnf.clauses) == 2**15
+    literals = [lit for clause in cnf.clauses for lit in clause.literals]
+    assert len({id(lit) for lit in literals}) == len({(lit.atom, lit.positive) for lit in literals}) == 30
+
+
 def test_clause_budget():
     phi = parse_formula("(a & b) | (c & d) | (e & f)")
     assert len(to_cnf(phi).clauses) == 8

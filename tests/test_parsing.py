@@ -1,7 +1,10 @@
 """Formula grammar, rendering, and DIMACS input."""
 
+import random
+
+import hypothesis.strategies as st
 import pytest
-from hypothesis import given
+from hypothesis import example, given
 
 from hornsat import (
     And,
@@ -22,7 +25,13 @@ from hornsat import (
     render,
 )
 
-from helpers import formula_strategy
+from helpers import (
+    formula_strategy,
+    outcome,
+    planted_horn_dimacs,
+    random_dimacs_text,
+    reference_parse_dimacs,
+)
 
 P, Q, R, S = Atom("p"), Atom("q"), Atom("r"), Atom("s")
 
@@ -172,3 +181,57 @@ def test_parse_dimacs_missing_terminator():
 def test_parse_dimacs_bad_token():
     with pytest.raises(DimacsError):
         parse_dimacs("p cnf 2 1\n1 x 0\n")
+
+
+def test_parse_dimacs_drops_repeated_literals():
+    x1, not_x1, x2 = Literal("x1"), Literal("x1", positive=False), Literal("x2")
+    cnf = parse_dimacs("p cnf 2 3\n1 1 0\n-1 2 -1 2 0\n1 -1 0\n")
+    assert cnf.clauses == (Clause((x1,)), Clause((not_x1, x2)), Clause((x1, not_x1)))
+
+
+# Tokens ``int`` reads in more than one spelling, tokens it rejects, and
+# separators that split clauses across lines and around comment lines.
+_DIMACS_TOKENS = ("0", "-0", "00", "1", "-1", "+1", "01", "2", "-2", "+2", "3", "-3", "03", "x", "1.5")
+_DIMACS_BREAKS = (" ", " ", " ", "\t", "\n", "\nc a comment\n", "\n\n  ")
+
+
+@st.composite
+def dimacs_texts(draw):
+    n_vars = draw(st.integers(0, 3))
+    header = draw(
+        st.sampled_from((f"p cnf {n_vars} 4",) * 6 + ("", "p cnf 1", "p dnf 1 1", "p cnf -1 1"))
+    )
+    parts = [draw(st.sampled_from(("", "c leading comment\n"))), header, "\n"]
+    for token in draw(st.lists(st.sampled_from(_DIMACS_TOKENS), max_size=14)):
+        parts += (token, draw(st.sampled_from(_DIMACS_BREAKS)))
+    if draw(st.booleans()):
+        parts.append("0\n")
+    return "".join(parts)
+
+
+@given(dimacs_texts())
+@example("p cnf 3 2\n+3 03 3 -03 0\n1 -0\n")
+@example("c x\np cnf 3 2\n1 -2\nc inside\n3 0 2\n\n-1 0\n")
+@example("p cnf 2 2\n1 -2 0\n-2 3 0\n")
+@example("p cnf 2 2\n1 -2 0\n-2 x 3 0\n")
+@example("p cnf 2 1\n1 -2\n")
+@example("p cnf 2 2\n1 1 2 0\n-1 -1 -2 0\n")
+def test_parse_dimacs_matches_reference(text):
+    """The reference is the old parser with one fix on top: a literal
+    repeated in a clause counts once."""
+    assert outcome(parse_dimacs, text) == outcome(reference_parse_dimacs, text)
+
+
+def test_parse_dimacs_matches_reference_on_seeded_texts():
+    rng = random.Random(6)
+    for _ in range(1_000):
+        text = random_dimacs_text(rng)
+        assert outcome(parse_dimacs, text) == outcome(reference_parse_dimacs, text)
+
+
+def test_parse_dimacs_interns_one_literal_per_signed_variable():
+    n_vars = 5_000
+    text, _ = planted_horn_dimacs(random.Random(20), n_vars, 20_000)
+    cnf = parse_dimacs(text)
+    assert len(cnf.clauses) == 20_000
+    assert len({id(lit) for clause in cnf.clauses for lit in clause.literals}) <= 2 * n_vars

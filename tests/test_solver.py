@@ -18,7 +18,6 @@ from hornsat import (
     HornFormula,
     HornImplication,
     Top,
-    antecedent_atoms,
     classify,
     extract_model,
     horn_to_formula,
@@ -36,6 +35,7 @@ from helpers import (
     GOLDEN_SHORT,
     GOLDEN_UNSAT,
     SAT_CHAIN_TEXT,
+    antecedent_atoms,
     random_horn,
     reference_saturate,
     reverse_chain,
