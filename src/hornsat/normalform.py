@@ -10,9 +10,12 @@ only by memory.  Each node is read with a polarity: a negative node
 stands for the negation normal form of its negation, ``~`` flips the
 polarity, and an implication reads its left side flipped.  A node that
 is a conjunction under its polarity concatenates its children's clause
-lists; a disjunction takes their product.  A biconditional is read as
-the conjunction of both implications, or when negative as
-``(a & ~b) | (~a & b)``.  No negation normal form tree is built.
+lists; a disjunction takes their product.  A chain of such nodes, of
+any nesting, is combined as one n-ary node, left to right, so that a
+right-nested chain costs no more than a left-nested one.  A
+biconditional is read as the conjunction of both implications, or when
+negative as ``(a & ~b) | (~a & b)``.  No negation normal form tree is
+built.
 
 The falsum constant is an atomic formula here, so it may appear inside
 literals; the verum literal is the negation of falsum.
@@ -138,41 +141,75 @@ class CnfFormula:
 # hundreds of thousands of clauses.
 _BOT_PAIR = (BOT, True)
 _TOP_PAIR = (BOT, False)
+_ClauseList = list[list[tuple[str, bool]]]
 
-# Work-stack markers: combine the two clause lists on top of the value stack.
+# Work-stack markers: combine the clause lists of the operands on top of
+# the value stack.
 _CONCAT = object()
 _PRODUCT = object()
 
 
-def _clause_lists(phi: Formula, budget: int | None) -> list[list[tuple[str, bool]]]:
+def _chain_operands(node: Formula, positive: bool) -> list[tuple[Formula, bool]]:
+    """The operands, left to right, of the largest chain of connectives
+    below ``node`` that are conjunctions under their polarity, or of the
+    largest chain that are disjunctions, negations included.
+
+    Concatenation and the product of clause lists are associative, so the
+    chain has the clause list of its binary tree whatever the nesting;
+    folding it left to right copies each operand once, which keeps
+    right-nested chains linear.
+    """
+    conjunctive = isinstance(node, And) == positive
+    operands: list[tuple[Formula, bool]] = []
+    pending: list[tuple[Formula, bool]] = [(node, positive)]
+    while pending:
+        sub, sign = pending.pop()
+        while isinstance(sub, Not):
+            sub, sign = sub.operand, not sign
+        if isinstance(sub, (And, Or, Implies)) and (isinstance(sub, And) == sign) == conjunctive:
+            pending.append((sub.right, sign))
+            pending.append((sub.left, not sign if isinstance(sub, Implies) else sign))
+        else:
+            operands.append((sub, sign))
+    return operands
+
+
+def _concat(parts: list[_ClauseList], budget: int | None) -> _ClauseList:
+    if budget is not None and sum(map(len, parts)) > budget:
+        raise ClauseBudgetError(f"conversion exceeds the budget of {budget} clauses")
+    return list(chain.from_iterable(parts))
+
+
+def _product(parts: list[_ClauseList], budget: int | None) -> _ClauseList:
+    left = parts[0]
+    for right in parts[1:]:
+        if budget is not None and len(left) * len(right) > budget:
+            raise ClauseBudgetError(f"conversion exceeds the budget of {budget} clauses")
+        if len(right) == 1:
+            # Keeps a disjunction of literals linear.
+            for left_clause in left:
+                left_clause.extend(right[0])
+        else:
+            left = [lc + rc for lc in left for rc in right]
+    return left
+
+
+def _clause_lists(phi: Formula, budget: int | None) -> _ClauseList:
     """The clauses of ``phi`` as pair lists, in source order.
 
     Every clause list on the value stack, and every clause in it, has
     exactly one owner, so concatenation and a product with a single
     right-hand clause extend in place.
     """
-    todo: list[tuple[object, bool]] = [(phi, True)]
-    values: list[list[list[tuple[str, bool]]]] = []
+    todo: list[tuple[object, object]] = [(phi, True)]
+    values: list[_ClauseList] = []
     while todo:
         node, positive = todo.pop()
-        if node is _CONCAT:
-            right = values.pop()
-            left = values[-1]
-            left.extend(right)
-            if budget is not None and len(left) > budget:
-                raise ClauseBudgetError(f"conversion exceeds the budget of {budget} clauses")
-        elif node is _PRODUCT:
-            right = values.pop()
-            left = values.pop()
-            if budget is not None and len(left) * len(right) > budget:
-                raise ClauseBudgetError(f"conversion exceeds the budget of {budget} clauses")
-            if len(right) == 1:
-                # Keeps a left-deep disjunction linear.
-                for left_clause in left:
-                    left_clause.extend(right[0])
-                values.append(left)
-            else:
-                values.append([lc + rc for lc in left for rc in right])
+        if node is _CONCAT or node is _PRODUCT:
+            count = positive  # a marker carries its operand count, not a polarity
+            parts = values[-count:]
+            del values[-count:]
+            values.append((_concat if node is _CONCAT else _product)(parts, budget))
         elif isinstance(node, Atom):
             values.append([[(node.name, positive)]])
         elif isinstance(node, Falsum):
@@ -188,9 +225,10 @@ def _clause_lists(phi: Formula, budget: int | None) -> list[list[tuple[str, bool
             else:
                 todo.append((Or(And(a, Not(b)), And(Not(a), b)), True))
         elif isinstance(node, (And, Or, Implies)):
-            todo.append((_CONCAT if isinstance(node, And) == positive else _PRODUCT, positive))
-            todo.append((node.right, positive))
-            todo.append((node.left, not positive if isinstance(node, Implies) else positive))
+            operands = _chain_operands(node, positive)
+            combine = _CONCAT if isinstance(node, And) == positive else _PRODUCT
+            todo.append((combine, len(operands)))
+            todo.extend(reversed(operands))
         else:
             raise TypeError(f"not a formula: {node!r}")
     return values[0]

@@ -4,12 +4,17 @@ Grammar (loosest to tightest): ``<->`` and ``->`` are right-associative,
 ``|`` and ``&`` are left-associative, ``~`` is prefix, parentheses
 override.  Atoms are identifiers; ``false``/``bot`` and ``true``/``top``
 (or the symbols for falsum/verum) are constants.
+
+:func:`parse_formula` reads the text as a list of lexemes with one regular
+expression, then builds the tree in one loop over an operator stack and an
+operand stack, so nesting depth is bounded only by memory.  Positions are
+worked out only for an error: line and column of the failing lexeme, or of
+the first character in the text that starts no token.
 """
 
 from __future__ import annotations
 
 import re
-from dataclasses import dataclass
 from typing import Sequence
 
 from .formula import And, Atom, Falsum, Formula, Iff, Implies, Not, Or, Verum
@@ -41,143 +46,6 @@ class DimacsError(ValueError):
     """Malformed DIMACS CNF input."""
 
 
-_TOKEN_RE = re.compile(
-    r"""(?P<WS>\s+)
-      | (?P<IDENT>[A-Za-z][A-Za-z0-9_]*)
-      | (?P<IFF><->|↔)
-      | (?P<IMPLIES>->|→)
-      | (?P<AND>&|/\\|∧)
-      | (?P<OR>\||\\/|∨)
-      | (?P<NOT>~|!|¬)
-      | (?P<LPAREN>\()
-      | (?P<RPAREN>\))
-      | (?P<FALSE>⊥)
-      | (?P<TRUE>⊤)
-    """,
-    re.VERBOSE,
-)
-
-_CONSTANT_WORDS = {"false": "FALSE", "bot": "FALSE", "true": "TRUE", "top": "TRUE"}
-
-
-@dataclass(frozen=True)
-class _Token:
-    kind: str
-    text: str
-    line: int
-    column: int
-
-
-def _tokenize(text: str) -> list[_Token]:
-    tokens: list[_Token] = []
-    line, column, pos = 1, 1, 0
-    while pos < len(text):
-        match = _TOKEN_RE.match(text, pos)
-        if match is None:
-            raise ParseError(f"unexpected character {text[pos]!r}", line, column)
-        kind = match.lastgroup or ""
-        lexeme = match.group()
-        if kind == "IDENT":
-            kind = _CONSTANT_WORDS.get(lexeme, kind)
-        if kind != "WS":
-            tokens.append(_Token(kind, lexeme, line, column))
-        newlines = lexeme.count("\n")
-        if newlines:
-            line += newlines
-            column = len(lexeme) - lexeme.rfind("\n")
-        else:
-            column += len(lexeme)
-        pos = match.end()
-    tokens.append(_Token("EOF", "", line, column))
-    return tokens
-
-
-class _Parser:
-    def __init__(self, tokens: list[_Token]):
-        self._tokens = tokens
-        self._index = 0
-
-    @property
-    def _current(self) -> _Token:
-        return self._tokens[self._index]
-
-    def _advance(self) -> _Token:
-        token = self._current
-        self._index += 1
-        return token
-
-    def _fail(self, expected: Sequence[str]) -> None:
-        token = self._current
-        found = "end of input" if token.kind == "EOF" else repr(token.text)
-        raise ParseError(f"unexpected {found}", token.line, token.column, expected)
-
-    def parse(self) -> Formula:
-        phi = self._iff()
-        if self._current.kind != "EOF":
-            self._fail(("end of input", "a binary operator"))
-        return phi
-
-    def _iff(self) -> Formula:
-        left = self._implies()
-        if self._current.kind == "IFF":
-            self._advance()
-            return Iff(left, self._iff())
-        return left
-
-    def _implies(self) -> Formula:
-        left = self._or()
-        if self._current.kind == "IMPLIES":
-            self._advance()
-            return Implies(left, self._implies())
-        return left
-
-    def _or(self) -> Formula:
-        node = self._and()
-        while self._current.kind == "OR":
-            self._advance()
-            node = Or(node, self._and())
-        return node
-
-    def _and(self) -> Formula:
-        node = self._unary()
-        while self._current.kind == "AND":
-            self._advance()
-            node = And(node, self._unary())
-        return node
-
-    def _unary(self) -> Formula:
-        if self._current.kind == "NOT":
-            self._advance()
-            return Not(self._unary())
-        return self._primary()
-
-    def _primary(self) -> Formula:
-        token = self._current
-        if token.kind == "IDENT":
-            self._advance()
-            return Atom(token.text)
-        if token.kind == "FALSE":
-            self._advance()
-            return Falsum()
-        if token.kind == "TRUE":
-            self._advance()
-            return Verum()
-        if token.kind == "LPAREN":
-            self._advance()
-            phi = self._iff()
-            if self._current.kind != "RPAREN":
-                self._fail(("')'",))
-            self._advance()
-            return phi
-        self._fail(("an atom", "'false'", "'true'", "'~'", "'('"))
-        raise AssertionError("unreachable")
-
-
-def parse_formula(text: str) -> Formula:
-    """Parse formula text; raises :class:`ParseError` with position info."""
-    return _Parser(_tokenize(text)).parse()
-
-
 # Binding strength per node; higher binds tighter.  A child is wrapped in
 # parentheses when its own level is below what its context requires.
 _LEVEL_IFF = 1
@@ -186,6 +54,123 @@ _LEVEL_OR = 3
 _LEVEL_AND = 4
 _LEVEL_NOT = 5
 _LEVEL_ATOM = 6
+
+
+# The parser's operator stack holds binding levels, and this marker for an
+# open parenthesis, which also sits at the bottom of the stack.
+_OPEN = 0
+
+_BINARY = {
+    "<->": _LEVEL_IFF, "↔": _LEVEL_IFF,
+    "->": _LEVEL_IMPLIES, "→": _LEVEL_IMPLIES,
+    "|": _LEVEL_OR, "\\/": _LEVEL_OR, "∨": _LEVEL_OR,
+    "&": _LEVEL_AND, "/\\": _LEVEL_AND, "∧": _LEVEL_AND,
+}
+_PREFIX = {"~": _LEVEL_NOT, "!": _LEVEL_NOT, "¬": _LEVEL_NOT, "(": _OPEN}
+_FALSUM, _VERUM = Falsum(), Verum()
+_CONSTANTS = {"false": _FALSUM, "bot": _FALSUM, "⊥": _FALSUM, "true": _VERUM, "top": _VERUM, "⊤": _VERUM}
+_BUILD = (None, Iff, Implies, Or, And)
+# An incoming operator reduces the operators on the stack that bind at
+# least this tightly: an equal one too when it is left-associative.
+_REDUCES_FROM = (None, _LEVEL_IFF + 1, _LEVEL_IMPLIES + 1, _LEVEL_OR, _LEVEL_AND)
+
+_IDENT = r"[A-Za-z][A-Za-z0-9_]*"
+_is_identifier = re.compile(_IDENT).match
+_SPELLINGS = tuple(sorted([*_BINARY, *_PREFIX, ")", "⊥", "⊤"], key=len, reverse=True))
+# One lexeme per match: an identifier, an operator or constant spelling, or
+# any other single character, which is an error.
+_LEXEME_RE = re.compile(r"\s*(" + "|".join([_IDENT, *map(re.escape, _SPELLINGS)]) + r"|\S)")
+
+_OPERAND = ("an atom", "'false'", "'true'", "'~'", "'('")
+_AFTER_OPERAND = ("end of input", "a binary operator")
+_CLOSE = ("')'",)
+
+
+def _is_token(lexeme: str) -> bool:
+    return lexeme in _SPELLINGS or _is_identifier(lexeme) is not None
+
+
+def _error(text: str, offset: int, message: str, expected: Sequence[str] = ()) -> ParseError:
+    line = text.count("\n", 0, offset) + 1
+    column = offset - text.rfind("\n", 0, offset)
+    return ParseError(message, line, column, expected)
+
+
+def _fail(text: str, index: int, expected: Sequence[str]) -> ParseError:
+    """The error for lexeme ``index`` of ``text`` (end of input if there is
+    none), or for the first character that starts no token, wherever it is:
+    the whole text is a token sequence before any of it is a formula."""
+    offset, found = len(text), "end of input"
+    for number, match in enumerate(_LEXEME_RE.finditer(text)):
+        lexeme = match.group(1)
+        if not _is_token(lexeme):
+            return _error(text, match.start(1), f"unexpected character {lexeme!r}")
+        if number == index:
+            offset, found = match.start(1), repr(lexeme)
+    return _error(text, offset, f"unexpected {found}", expected)
+
+
+def parse_formula(text: str) -> Formula:
+    """Parse formula text; raises :class:`ParseError` with position info.
+
+    Operator precedence with explicit stacks (Dijkstra's shunting yard),
+    so nesting depth is bounded only by memory.  Each distinct atom name
+    becomes one :class:`Atom`.
+    """
+    lexemes = _LEXEME_RE.findall(text)
+    operands: dict[str, Formula] = dict(_CONSTANTS)
+    ops = [_OPEN]
+    values: list[Formula] = []
+    depth = 0
+    index, count = 0, len(lexemes)
+    while True:
+        # Operand position: any '~' and '(' before an atom or a constant.
+        while True:
+            if index == count:
+                raise _fail(text, index, _OPERAND)
+            lexeme = lexemes[index]
+            index += 1
+            operand = operands.get(lexeme)
+            if operand is not None:
+                break
+            marker = _PREFIX.get(lexeme)
+            if marker is not None:
+                ops.append(marker)
+                if marker == _OPEN:
+                    depth += 1
+            elif _is_identifier(lexeme):
+                operand = operands[lexeme] = Atom(lexeme)
+                break
+            else:
+                raise _fail(text, index - 1, _OPERAND)
+        # Operator position: apply the negations, close parentheses, and
+        # reduce what binds at least as tightly as the next operator.
+        while True:
+            while ops[-1] == _LEVEL_NOT:
+                ops.pop()
+                operand = Not(operand)
+            if index == count:
+                if depth:
+                    raise _fail(text, index, _CLOSE)
+                while len(ops) > 1:
+                    operand = _BUILD[ops.pop()](values.pop(), operand)
+                return operand
+            lexeme = lexemes[index]
+            index += 1
+            operator = _BINARY.get(lexeme)
+            if operator is not None:
+                floor = _REDUCES_FROM[operator]
+                while ops[-1] >= floor:
+                    operand = _BUILD[ops.pop()](values.pop(), operand)
+                ops.append(operator)
+                values.append(operand)
+                break
+            if lexeme != ")" or not depth:
+                raise _fail(text, index - 1, _CLOSE if depth else _AFTER_OPERAND)
+            while ops[-1] != _OPEN:
+                operand = _BUILD[ops.pop()](values.pop(), operand)
+            ops.pop()
+            depth -= 1
 
 
 def _render(phi: Formula, min_level: int) -> str:

@@ -5,7 +5,9 @@ from __future__ import annotations
 import itertools
 import json
 import random
-from typing import Iterable, NamedTuple
+import re
+from dataclasses import dataclass
+from typing import Iterable, NamedTuple, Sequence
 
 import hypothesis.strategies as st
 
@@ -33,6 +35,7 @@ from hornsat import (
     Not,
     NotHornError,
     Or,
+    ParseError,
     Top,
     Verum,
     basic_to_implication,
@@ -208,6 +211,165 @@ def formula_strategy(names=("p", "q", "r", "s"), max_leaves=10):
         ),
         max_leaves=max_leaves,
     )
+
+
+# The recursive-descent parser as it was before ``parse_formula`` became one
+# loop over explicit stacks: a frozen ``_Token`` per token with its line and
+# column, then one method per precedence level.  It recurses once per
+# nesting level, so it is only for shallow texts.  The reference
+# ``parse_formula`` must match in trees and in every ``ParseError``.
+_TOKEN_RE = re.compile(
+    r"""(?P<WS>\s+)
+      | (?P<IDENT>[A-Za-z][A-Za-z0-9_]*)
+      | (?P<IFF><->|↔)
+      | (?P<IMPLIES>->|→)
+      | (?P<AND>&|/\\|∧)
+      | (?P<OR>\||\\/|∨)
+      | (?P<NOT>~|!|¬)
+      | (?P<LPAREN>\()
+      | (?P<RPAREN>\))
+      | (?P<FALSE>⊥)
+      | (?P<TRUE>⊤)
+    """,
+    re.VERBOSE,
+)
+
+_CONSTANT_WORDS = {"false": "FALSE", "bot": "FALSE", "true": "TRUE", "top": "TRUE"}
+
+
+@dataclass(frozen=True)
+class _Token:
+    kind: str
+    text: str
+    line: int
+    column: int
+
+
+def _tokenize(text: str) -> list[_Token]:
+    tokens: list[_Token] = []
+    line, column, pos = 1, 1, 0
+    while pos < len(text):
+        match = _TOKEN_RE.match(text, pos)
+        if match is None:
+            raise ParseError(f"unexpected character {text[pos]!r}", line, column)
+        kind = match.lastgroup or ""
+        lexeme = match.group()
+        if kind == "IDENT":
+            kind = _CONSTANT_WORDS.get(lexeme, kind)
+        if kind != "WS":
+            tokens.append(_Token(kind, lexeme, line, column))
+        newlines = lexeme.count("\n")
+        if newlines:
+            line += newlines
+            column = len(lexeme) - lexeme.rfind("\n")
+        else:
+            column += len(lexeme)
+        pos = match.end()
+    tokens.append(_Token("EOF", "", line, column))
+    return tokens
+
+
+class _Parser:
+    def __init__(self, tokens: list[_Token]):
+        self._tokens = tokens
+        self._index = 0
+
+    @property
+    def _current(self) -> _Token:
+        return self._tokens[self._index]
+
+    def _advance(self) -> _Token:
+        token = self._current
+        self._index += 1
+        return token
+
+    def _fail(self, expected: Sequence[str]) -> None:
+        token = self._current
+        found = "end of input" if token.kind == "EOF" else repr(token.text)
+        raise ParseError(f"unexpected {found}", token.line, token.column, expected)
+
+    def parse(self) -> Formula:
+        phi = self._iff()
+        if self._current.kind != "EOF":
+            self._fail(("end of input", "a binary operator"))
+        return phi
+
+    def _iff(self) -> Formula:
+        left = self._implies()
+        if self._current.kind == "IFF":
+            self._advance()
+            return Iff(left, self._iff())
+        return left
+
+    def _implies(self) -> Formula:
+        left = self._or()
+        if self._current.kind == "IMPLIES":
+            self._advance()
+            return Implies(left, self._implies())
+        return left
+
+    def _or(self) -> Formula:
+        node = self._and()
+        while self._current.kind == "OR":
+            self._advance()
+            node = Or(node, self._and())
+        return node
+
+    def _and(self) -> Formula:
+        node = self._unary()
+        while self._current.kind == "AND":
+            self._advance()
+            node = And(node, self._unary())
+        return node
+
+    def _unary(self) -> Formula:
+        if self._current.kind == "NOT":
+            self._advance()
+            return Not(self._unary())
+        return self._primary()
+
+    def _primary(self) -> Formula:
+        token = self._current
+        if token.kind == "IDENT":
+            self._advance()
+            return Atom(token.text)
+        if token.kind == "FALSE":
+            self._advance()
+            return Falsum()
+        if token.kind == "TRUE":
+            self._advance()
+            return Verum()
+        if token.kind == "LPAREN":
+            self._advance()
+            phi = self._iff()
+            if self._current.kind != "RPAREN":
+                self._fail(("')'",))
+            self._advance()
+            return phi
+        self._fail(("an atom", "'false'", "'true'", "'~'", "'('"))
+        raise AssertionError("unreachable")
+
+
+def reference_parse_formula(text: str) -> Formula:
+    return _Parser(_tokenize(text)).parse()
+
+
+def same_tree(phi: Formula, psi: Formula) -> bool:
+    """Structural equality without recursion: the dataclass ``==`` recurses
+    once per level, so it cannot compare deep trees."""
+    pending = [(phi, psi)]
+    while pending:
+        a, b = pending.pop()
+        if type(a) is not type(b):
+            return False
+        if isinstance(a, Atom):
+            if a.name != b.name:
+                return False
+        elif isinstance(a, Not):
+            pending.append((a.operand, b.operand))
+        elif isinstance(a, (And, Or, Implies, Iff)):
+            pending += ((a.left, b.left), (a.right, b.right))
+    return True
 
 
 # The two recursive passes that ``to_cnf`` used before it became a single

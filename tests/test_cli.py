@@ -239,9 +239,54 @@ def test_undecodable_input_is_an_error(tmp_path, capsys):
     _assert_one_error_line(capsys.readouterr())
 
 
-def test_deep_parentheses_are_an_error(write, capsys):
-    assert cli_main(["solve", write("(" * 600 + "p" + ")" * 600)]) == 1
-    _assert_one_error_line(capsys.readouterr())
+def test_deep_parentheses_solve(write, capsys):
+    assert cli_main(["solve", write("(" * 600 + "p" + ")" * 600)]) == 10
+    assert capsys.readouterr().out == "SAT\np=1\n"
+
+
+def test_unclosed_deep_parentheses_are_an_error(write, capsys):
+    assert cli_main(["solve", write("(" * 100_000 + "p")]) == 1
+    captured = capsys.readouterr()
+    _assert_one_error_line(captured)
+    assert captured.err.endswith("expected ')'\n")
+
+
+_DEPTH = 100_000
+_LAST = f"p{_DEPTH - 1}"
+
+
+@pytest.mark.parametrize(
+    "command, text, code, expected",
+    [
+        ("trace", "(" * _DEPTH + "p" + ")" * _DEPTH, 10, {"horn_form": ["top -> p"], "model": {"p": 1}}),
+        ("trace", "~" * _DEPTH + "p", 10, {"horn_form": ["top -> p"], "model": {"p": 1}}),
+        (
+            "trace",
+            " -> ".join(f"p{i}" for i in range(_DEPTH)),
+            10,
+            {
+                "horn_form": [" & ".join(f"p{i}" for i in range(_DEPTH - 1)) + f" -> {_LAST}"],
+                "model": {f"p{i}": 0 for i in range(_DEPTH)},
+            },
+        ),
+        ("classify", " <-> ".join(["p"] * _DEPTH), 0, "Valid\n"),
+    ],
+    ids=["parentheses", "negations", "right-nested-implications", "biconditionals"],
+)
+def test_depth_is_bounded_only_by_memory(write, capsys, command, text, code, expected):
+    argv = [command, write(text)] + (["--json"] if command == "trace" else [])
+    started = time.perf_counter()
+    assert cli_main(argv) == code
+    assert time.perf_counter() - started < 10
+    out = capsys.readouterr().out
+    if command == "classify":
+        assert out == expected
+        return
+    document = json.loads(out)
+    assert document["input_formula"] == text
+    assert document["verdict"] == "SAT"
+    for key, value in expected.items():
+        assert document[key] == value
 
 
 @pytest.mark.parametrize(

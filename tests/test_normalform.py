@@ -183,6 +183,27 @@ def test_right_nested_conjunction():
     assert [c.literals[0].atom for c in to_cnf(phi).clauses] == [a.name for a in atoms]
 
 
+def _best_seconds(phi, runs=3):
+    best = float("inf")
+    for _ in range(runs):
+        started = time.perf_counter()
+        to_cnf(phi)
+        best = min(best, time.perf_counter() - started)
+    return best
+
+
+def test_right_nested_chains_convert_as_fast_as_left_nested():
+    # Left-nested implication is no baseline: its clause list is quadratic
+    # in size.
+    atoms = _atoms(20_000)
+    left = {And: _best_seconds(reduce(And, atoms)), Or: _best_seconds(reduce(Or, atoms))}
+    for connective, baseline in ((And, And), (Or, Or), (Implies, Or)):
+        phi = atoms[-1]
+        for atom in reversed(atoms[:-1]):
+            phi = connective(atom, phi)
+        assert _best_seconds(phi) < 2 * left[baseline], connective.__name__
+
+
 def test_solve_flat_conjunction_end_to_end(tmp_path, capsys):
     path = tmp_path / "facts.txt"
     path.write_text(" & ".join(f"p{i}" for i in range(20_000)) + "\n", encoding="utf-8")

@@ -1,10 +1,11 @@
 """Formula grammar, rendering, and DIMACS input."""
 
 import random
+import re
 
 import hypothesis.strategies as st
 import pytest
-from hypothesis import example, given
+from hypothesis import example, given, settings
 
 from hornsat import (
     And,
@@ -30,7 +31,10 @@ from helpers import (
     outcome,
     planted_horn_dimacs,
     random_dimacs_text,
+    random_formula,
     reference_parse_dimacs,
+    reference_parse_formula,
+    same_tree,
 )
 
 P, Q, R, S = Atom("p"), Atom("q"), Atom("r"), Atom("s")
@@ -124,6 +128,120 @@ def test_render_uses_minimal_parentheses():
 @given(formula_strategy())
 def test_render_round_trip(phi):
     assert parse_formula(render(phi)) == phi
+
+
+# Every spelling of each token that ``render`` writes, and what may stand
+# between two tokens.
+_RESPELLINGS = {
+    "<->": ("<->", "↔"),
+    "->": ("->", "→"),
+    "|": ("|", "\\/", "∨"),
+    "&": ("&", "/\\", "∧"),
+    "~": ("~", "!", "¬"),
+    "false": ("false", "bot", "⊥"),
+    "true": ("true", "top", "⊤"),
+}
+_GAPS = ("", " ", " ", "  ", "\n", "\t", " \n  ", "\r\n", "\u2028")
+_RENDERED_TOKEN_RE = re.compile(r"[A-Za-z][A-Za-z0-9_]*|<->|->|[|&~()]")
+# Inserted into texts: tokens, stray characters, and prefixes of operators.
+_INSERTS = ("p", "q1", "(", ")", "~", "&", "|", "->", "<->", "-", "<", ">", "/", "\\", "\n", " ", "@", "1", "_", "é", "true")
+
+
+def _respelled(phi, choose) -> str:
+    """``render(phi)`` with each token in a spelling, and each gap, that
+    ``choose`` picks from the sequence it is given."""
+    parts = []
+    for token in _RENDERED_TOKEN_RE.findall(render(phi)):
+        parts += (choose(_GAPS), choose(_RESPELLINGS.get(token, (token,))))
+    parts.append(choose(_GAPS))
+    return "".join(parts)
+
+
+def _mutated(text, edits) -> str:
+    """``text`` after ``edits``: (kind, fraction of the length, insert)."""
+    for kind, where, insert in edits:
+        at = round(where * len(text))
+        if kind == "truncate":
+            text = text[:at]
+        elif kind == "insert":
+            text = text[:at] + insert + text[at:]
+        else:
+            text = text[:at] + text[at + 1 :]
+    return text
+
+
+def _parsed(parse, text):
+    try:
+        return "tree", parse(text)
+    except ParseError as exc:
+        return "error", (str(exc), exc.line, exc.column, exc.expected)
+
+
+def _assert_parses_like_reference(text):
+    kind, result = _parsed(parse_formula, text)
+    reference_kind, reference = _parsed(reference_parse_formula, text)
+    assert kind == reference_kind
+    assert same_tree(result, reference) if kind == "tree" else result == reference
+
+
+_EDITS = st.lists(
+    st.tuples(
+        st.sampled_from(("truncate", "insert", "delete")),
+        st.floats(0, 1),
+        st.sampled_from(_INSERTS),
+    ),
+    max_size=2,
+)
+
+
+@st.composite
+def _formula_texts(draw):
+    text = _respelled(draw(formula_strategy()), lambda choices: draw(st.sampled_from(choices)))
+    return _mutated(text, draw(_EDITS))
+
+
+@settings(max_examples=300)
+@given(_formula_texts())
+@example("p @ q")
+@example("p ->\n(q")
+@example("(p\n&\tq)) | r")
+@example("(p q)")
+def test_parse_formula_matches_reference(text):
+    _assert_parses_like_reference(text)
+
+
+def test_parse_formula_matches_reference_on_seeded_texts():
+    rng = random.Random(7)
+    for _ in range(2_000):
+        phi = random_formula(rng, ("p", "q", "r", "s", "t1", "x_y"), depth=rng.randint(0, 6))
+        text = _respelled(phi, rng.choice)
+        if rng.random() < 0.5:
+            edits = [
+                (rng.choice(("truncate", "insert", "delete")), rng.random(), rng.choice(_INSERTS))
+                for _ in range(rng.randint(1, 2))
+            ]
+            text = _mutated(text, edits)
+        _assert_parses_like_reference(text)
+
+
+def test_parse_formula_interns_one_atom_per_name():
+    rng = random.Random(8)
+    names = [f"a{i}" for i in range(300)]
+    text = " & ".join(
+        "(" + " | ".join(["~" + rng.choice(names), "~" + rng.choice(names), rng.choice(names)]) + ")"
+        for _ in range(2_000)
+    )
+    atoms, pending = [], [parse_formula(text)]
+    while pending:
+        node = pending.pop()
+        if isinstance(node, Atom):
+            atoms.append(node)
+        elif isinstance(node, Not):
+            pending.append(node.operand)
+        else:
+            pending += (node.left, node.right)
+    assert len(atoms) == 6_000
+    assert len({id(atom) for atom in atoms}) == len({atom.name for atom in atoms})
 
 
 def test_parse_dimacs_single_clause():
