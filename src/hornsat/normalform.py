@@ -11,7 +11,7 @@ stands for the negation normal form of its negation, ``~`` flips the
 polarity, and an implication reads its left side flipped.  A node that
 is a conjunction under its polarity concatenates its children's clause
 lists; a disjunction takes their product.  A chain of such nodes, of
-any nesting, is combined as one n-ary node, left to right, so that a
+any nesting, is flattened and combined left to right, so that a
 right-nested chain costs no more than a left-nested one.  A
 biconditional is read as the conjunction of both implications, or when
 negative as ``(a & ~b) | (~a & b)``.  No negation normal form tree is
@@ -141,10 +141,8 @@ class CnfFormula:
 # hundreds of thousands of clauses.
 _BOT_PAIR = (BOT, True)
 _TOP_PAIR = (BOT, False)
-_ClauseList = list[list[tuple[str, bool]]]
 
-# Work-stack markers: combine the clause lists of the operands on top of
-# the value stack.
+# Work-stack markers: combine the two clause lists on top of the value stack.
 _CONCAT = object()
 _PRODUCT = object()
 
@@ -174,42 +172,35 @@ def _chain_operands(node: Formula, positive: bool) -> list[tuple[Formula, bool]]
     return operands
 
 
-def _concat(parts: list[_ClauseList], budget: int | None) -> _ClauseList:
-    if budget is not None and sum(map(len, parts)) > budget:
-        raise ClauseBudgetError(f"conversion exceeds the budget of {budget} clauses")
-    return list(chain.from_iterable(parts))
-
-
-def _product(parts: list[_ClauseList], budget: int | None) -> _ClauseList:
-    left = parts[0]
-    for right in parts[1:]:
-        if budget is not None and len(left) * len(right) > budget:
-            raise ClauseBudgetError(f"conversion exceeds the budget of {budget} clauses")
-        if len(right) == 1:
-            # Keeps a disjunction of literals linear.
-            for left_clause in left:
-                left_clause.extend(right[0])
-        else:
-            left = [lc + rc for lc in left for rc in right]
-    return left
-
-
-def _clause_lists(phi: Formula, budget: int | None) -> _ClauseList:
+def _clause_lists(phi: Formula, budget: int | None) -> list[list[tuple[str, bool]]]:
     """The clauses of ``phi`` as pair lists, in source order.
 
     Every clause list on the value stack, and every clause in it, has
     exactly one owner, so concatenation and a product with a single
     right-hand clause extend in place.
     """
-    todo: list[tuple[object, object]] = [(phi, True)]
-    values: list[_ClauseList] = []
+    todo: list[tuple[object, bool]] = [(phi, True)]
+    values: list[list[list[tuple[str, bool]]]] = []
     while todo:
         node, positive = todo.pop()
-        if node is _CONCAT or node is _PRODUCT:
-            count = positive  # a marker carries its operand count, not a polarity
-            parts = values[-count:]
-            del values[-count:]
-            values.append((_concat if node is _CONCAT else _product)(parts, budget))
+        if node is _CONCAT:
+            right = values.pop()
+            left = values[-1]
+            left.extend(right)
+            if budget is not None and len(left) > budget:
+                raise ClauseBudgetError(f"conversion exceeds the budget of {budget} clauses")
+        elif node is _PRODUCT:
+            right = values.pop()
+            left = values.pop()
+            if budget is not None and len(left) * len(right) > budget:
+                raise ClauseBudgetError(f"conversion exceeds the budget of {budget} clauses")
+            if len(right) == 1:
+                # Keeps a disjunction of literals linear.
+                for left_clause in left:
+                    left_clause.extend(right[0])
+                values.append(left)
+            else:
+                values.append([lc + rc for lc in left for rc in right])
         elif isinstance(node, Atom):
             values.append([[(node.name, positive)]])
         elif isinstance(node, Falsum):
@@ -225,10 +216,14 @@ def _clause_lists(phi: Formula, budget: int | None) -> _ClauseList:
             else:
                 todo.append((Or(And(a, Not(b)), And(Not(a), b)), True))
         elif isinstance(node, (And, Or, Implies)):
+            # Operand 1, operand 2, marker, operand 3, marker, ...: the
+            # budget is checked as soon as each operand is combined.
+            combine = (_CONCAT if isinstance(node, And) == positive else _PRODUCT, positive)
             operands = _chain_operands(node, positive)
-            combine = _CONCAT if isinstance(node, And) == positive else _PRODUCT
-            todo.append((combine, len(operands)))
-            todo.extend(reversed(operands))
+            for operand in reversed(operands[1:]):
+                todo.append(combine)
+                todo.append(operand)
+            todo.append(operands[0])
         else:
             raise TypeError(f"not a formula: {node!r}")
     return values[0]
