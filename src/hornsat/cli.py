@@ -19,7 +19,7 @@ from typing import Callable, Iterator, Sequence
 from .formula import symbols
 from .horn import HornFormula, HornImplication, NotHornError, Top, horn_from_clauses
 from .normalform import BOT, TOP, Clause, ClauseBudgetError, CnfFormula, Literal, to_cnf
-from .oracle import Classification, SymbolCapError, classify
+from .oracle import DEFAULT_SYMBOL_CAP, Classification, SymbolCapError, classify
 from .parsing import DimacsError, ParseError, parse_dimacs, parse_formula
 from .solver import SolveOutcome, TraceStep, extract_model, precheck, solve
 
@@ -231,7 +231,7 @@ def _load_cnf(args: argparse.Namespace) -> tuple[str, CnfFormula, set[str]]:
     """Read the input and produce clauses plus the source symbols that the
     model must name even where no implication mentions them."""
     text = _read_input(args.path)
-    if getattr(args, "dimacs", False):
+    if args.dimacs:
         # No DIMACS literal is ~bot, so no clause is dropped and every atom
         # is in the implications' symbols, which extract_model reads.
         return text, parse_dimacs(text), set()
@@ -354,7 +354,7 @@ def _build_parser() -> argparse.ArgumentParser:
     classify_p.add_argument(
         "--max-symbols",
         type=_non_negative,
-        default=20,
+        default=DEFAULT_SYMBOL_CAP,
         metavar="N",
         help="refuse enumeration beyond N symbols (default %(default)s)",
     )

@@ -2,9 +2,8 @@
 
 Formulas are immutable trees.  The full connective set (negation,
 disjunction, conjunction, implication, biconditional, plus the two
-constants) is first class; :func:`desugar` rewrites a formula into the
-minimal core {falsum, atoms, implication} via the standard abbreviations,
-and :func:`evaluate` agrees on both forms.
+constants) is first class, and :func:`evaluate` interprets each
+connective directly.
 
 A valuation is a plain mapping from symbol names to 0/1.  Names absent
 from the mapping read as 0, so every partial map is total by convention.
@@ -27,7 +26,6 @@ __all__ = [
     "Or",
     "Valuation",
     "Verum",
-    "desugar",
     "evaluate",
     "satisfies",
     "symbols",
@@ -173,27 +171,3 @@ def satisfies(valuation: Valuation, phi: Formula) -> bool:
     """True iff ``phi`` evaluates to 1 under ``valuation``."""
     return evaluate(phi, valuation) == 1
 
-
-def desugar(phi: Formula) -> Formula:
-    """Expand ``phi`` into the minimal core {falsum, atoms, implication}.
-
-    Expansion follows the abbreviation table: ``~a`` becomes ``a -> false``,
-    ``true`` becomes ``~false``, ``a | b`` becomes ``~a -> b``, ``a & b``
-    becomes ``~(~a | ~b)``, and ``a <-> b`` becomes the conjunction of both
-    implications, all expanded recursively.  Evaluation is preserved.
-    """
-    if isinstance(phi, (Falsum, Atom)):
-        return phi
-    if isinstance(phi, Verum):
-        return Implies(Falsum(), Falsum())
-    if isinstance(phi, Not):
-        return Implies(desugar(phi.operand), Falsum())
-    if isinstance(phi, Implies):
-        return Implies(desugar(phi.left), desugar(phi.right))
-    if isinstance(phi, Or):
-        return Implies(Implies(desugar(phi.left), Falsum()), desugar(phi.right))
-    if isinstance(phi, And):
-        return desugar(Not(Or(Not(phi.left), Not(phi.right))))
-    if isinstance(phi, Iff):
-        return desugar(And(Implies(phi.left, phi.right), Implies(phi.right, phi.left)))
-    raise TypeError(f"not a formula: {phi!r}")

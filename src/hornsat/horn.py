@@ -99,17 +99,12 @@ def basic_to_implication(clause: Clause) -> HornImplication:
     A single positive literal L becomes ``true -> L``; negatives-only
     clauses become ``conjunction -> false``; negatives plus one positive
     become ``conjunction -> L``.  Clauses containing the verum literal are
-    rejected: the caller must drop valid clauses first.
+    rejected: the caller must drop valid clauses first.  A clause with two
+    or more positive literals raises :class:`NotHornError` (index 0).
     """
     if TOP_LITERAL in clause.literals:
         raise ValueError("clause contains the verum literal; drop valid clauses first")
-    positives = [lit.atom for lit in clause.literals if lit.positive]
-    negatives = [lit.atom for lit in clause.literals if not lit.positive]
-    if len(positives) > 1:
-        raise ValueError("not a basic Horn clause: more than one positive literal")
-    consequent = positives[0] if positives else BOT
-    antecedent: Antecedent = Conj(tuple(negatives)) if negatives else Top()
-    return HornImplication(antecedent, consequent)
+    return horn_from_clauses(CnfFormula((clause,))).implications[0]
 
 
 # Shared by every unit implication that horn_from_clauses builds.

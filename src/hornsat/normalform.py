@@ -101,14 +101,6 @@ class Clause:
         return phi
 
 
-def _clause(literals: tuple[Literal, ...]) -> Clause:
-    """A clause built without the constructor's check, for callers that
-    already guarantee ``literals`` is nonempty."""
-    clause = object.__new__(Clause)
-    object.__setattr__(clause, "literals", literals)
-    return clause
-
-
 @dataclass(frozen=True)
 class CnfFormula:
     """A conjunction of clauses, in source order."""
@@ -249,7 +241,7 @@ def to_cnf(phi: Formula, max_clauses: int | None = None) -> CnfFormula:
         kept = dict.fromkeys(pairs)
         if len(kept) > 1:
             kept.pop(_BOT_PAIR, None)
-        clauses.append(_clause(tuple(map(literal_of, kept))))
+        clauses.append(Clause(tuple(map(literal_of, kept))))
     if not clauses:
         clauses.append(Clause((TOP_LITERAL,)))
     return CnfFormula(tuple(clauses))

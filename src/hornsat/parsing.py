@@ -1,4 +1,4 @@
-"""Textual syntax: the formula grammar, a renderer, and DIMACS CNF input.
+"""Textual syntax: the formula grammar and DIMACS CNF input.
 
 Grammar (loosest to tightest): ``<->`` and ``->`` are right-associative,
 ``|`` and ``&`` are left-associative, ``~`` is prefix, parentheses
@@ -18,14 +18,13 @@ import re
 from typing import Sequence
 
 from .formula import And, Atom, Falsum, Formula, Iff, Implies, Not, Or, Verum
-from .normalform import BOT_LITERAL, Clause, CnfFormula, Literal, _clause
+from .normalform import BOT_LITERAL, Clause, CnfFormula, Literal
 
 __all__ = [
     "DimacsError",
     "ParseError",
     "parse_dimacs",
     "parse_formula",
-    "render",
 ]
 
 
@@ -46,18 +45,14 @@ class DimacsError(ValueError):
     """Malformed DIMACS CNF input."""
 
 
-# Binding strength per node; higher binds tighter.  A child is wrapped in
-# parentheses when its own level is below what its context requires.
+# Binding level per operator; higher binds tighter.  The parser's operator
+# stack holds these levels, and this marker for an open parenthesis, which
+# also sits at the bottom of the stack.
 _LEVEL_IFF = 1
 _LEVEL_IMPLIES = 2
 _LEVEL_OR = 3
 _LEVEL_AND = 4
 _LEVEL_NOT = 5
-_LEVEL_ATOM = 6
-
-
-# The parser's operator stack holds binding levels, and this marker for an
-# open parenthesis, which also sits at the bottom of the stack.
 _OPEN = 0
 
 _BINARY = {
@@ -173,37 +168,6 @@ def parse_formula(text: str) -> Formula:
             depth -= 1
 
 
-def _render(phi: Formula, min_level: int) -> str:
-    if isinstance(phi, Falsum):
-        return "false"
-    if isinstance(phi, Verum):
-        return "true"
-    if isinstance(phi, Atom):
-        return phi.name
-    if isinstance(phi, Not):
-        text, level = "~" + _render(phi.operand, _LEVEL_NOT), _LEVEL_NOT
-    elif isinstance(phi, And):
-        text = f"{_render(phi.left, _LEVEL_AND)} & {_render(phi.right, _LEVEL_AND + 1)}"
-        level = _LEVEL_AND
-    elif isinstance(phi, Or):
-        text = f"{_render(phi.left, _LEVEL_OR)} | {_render(phi.right, _LEVEL_OR + 1)}"
-        level = _LEVEL_OR
-    elif isinstance(phi, Implies):
-        text = f"{_render(phi.left, _LEVEL_IMPLIES + 1)} -> {_render(phi.right, _LEVEL_IMPLIES)}"
-        level = _LEVEL_IMPLIES
-    elif isinstance(phi, Iff):
-        text = f"{_render(phi.left, _LEVEL_IFF + 1)} <-> {_render(phi.right, _LEVEL_IFF)}"
-        level = _LEVEL_IFF
-    else:
-        raise TypeError(f"not a formula: {phi!r}")
-    return f"({text})" if level < min_level else text
-
-
-def render(phi: Formula) -> str:
-    """ASCII text for ``phi``; reparsing yields a structurally equal tree."""
-    return _render(phi, _LEVEL_IFF)
-
-
 def parse_dimacs(text: str) -> CnfFormula:
     """Read DIMACS CNF text into a clause list.
 
@@ -246,10 +210,10 @@ def parse_dimacs(text: str) -> CnfFormula:
                 raise DimacsError(f"line {line_no}: bad literal token {field!r}") from None
             if value == 0:
                 if pending:
-                    clauses.append(_clause(tuple(map(literal_of, dict.fromkeys(pending)))))
+                    clauses.append(Clause(tuple(map(literal_of, dict.fromkeys(pending)))))
                     pending = []
                 else:
-                    clauses.append(_clause((BOT_LITERAL,)))
+                    clauses.append(Clause((BOT_LITERAL,)))
                 continue
             if value not in literals:
                 if abs(value) > declared_vars:

@@ -18,6 +18,7 @@ from hornsat import (
     TOP,
     TOP_LITERAL,
     And,
+    Antecedent,
     Atom,
     Classification,
     Clause,
@@ -38,7 +39,6 @@ from hornsat import (
     ParseError,
     Top,
     Verum,
-    basic_to_implication,
     enumerate_valuations,
     evaluate,
     is_basic_horn,
@@ -211,6 +211,75 @@ def formula_strategy(names=("p", "q", "r", "s"), max_leaves=10):
         ),
         max_leaves=max_leaves,
     )
+
+
+# Formula helpers that only the tests use: ``render`` for parser round
+# trips, ``desugar`` for oracle equivalences.  Both recurse once per
+# nesting level, so they are only for shallow formulas.
+
+# Binding strength per node; higher binds tighter.  A child is wrapped in
+# parentheses when its own level is below what its context requires.
+_LEVEL_IFF = 1
+_LEVEL_IMPLIES = 2
+_LEVEL_OR = 3
+_LEVEL_AND = 4
+_LEVEL_NOT = 5
+
+
+def _render(phi: Formula, min_level: int) -> str:
+    if isinstance(phi, Falsum):
+        return "false"
+    if isinstance(phi, Verum):
+        return "true"
+    if isinstance(phi, Atom):
+        return phi.name
+    if isinstance(phi, Not):
+        text, level = "~" + _render(phi.operand, _LEVEL_NOT), _LEVEL_NOT
+    elif isinstance(phi, And):
+        text = f"{_render(phi.left, _LEVEL_AND)} & {_render(phi.right, _LEVEL_AND + 1)}"
+        level = _LEVEL_AND
+    elif isinstance(phi, Or):
+        text = f"{_render(phi.left, _LEVEL_OR)} | {_render(phi.right, _LEVEL_OR + 1)}"
+        level = _LEVEL_OR
+    elif isinstance(phi, Implies):
+        text = f"{_render(phi.left, _LEVEL_IMPLIES + 1)} -> {_render(phi.right, _LEVEL_IMPLIES)}"
+        level = _LEVEL_IMPLIES
+    elif isinstance(phi, Iff):
+        text = f"{_render(phi.left, _LEVEL_IFF + 1)} <-> {_render(phi.right, _LEVEL_IFF)}"
+        level = _LEVEL_IFF
+    else:
+        raise TypeError(f"not a formula: {phi!r}")
+    return f"({text})" if level < min_level else text
+
+
+def render(phi: Formula) -> str:
+    """ASCII text for ``phi``; reparsing yields a structurally equal tree."""
+    return _render(phi, _LEVEL_IFF)
+
+
+def desugar(phi: Formula) -> Formula:
+    """Expand ``phi`` into the minimal core {falsum, atoms, implication}.
+
+    Expansion follows the abbreviation table: ``~a`` becomes ``a -> false``,
+    ``true`` becomes ``~false``, ``a | b`` becomes ``~a -> b``, ``a & b``
+    becomes ``~(~a | ~b)``, and ``a <-> b`` becomes the conjunction of both
+    implications, all expanded recursively.  Evaluation is preserved.
+    """
+    if isinstance(phi, (Falsum, Atom)):
+        return phi
+    if isinstance(phi, Verum):
+        return Implies(Falsum(), Falsum())
+    if isinstance(phi, Not):
+        return Implies(desugar(phi.operand), Falsum())
+    if isinstance(phi, Implies):
+        return Implies(desugar(phi.left), desugar(phi.right))
+    if isinstance(phi, Or):
+        return Implies(Implies(desugar(phi.left), Falsum()), desugar(phi.right))
+    if isinstance(phi, And):
+        return desugar(Not(Or(Not(phi.left), Not(phi.right))))
+    if isinstance(phi, Iff):
+        return desugar(And(Implies(phi.left, phi.right), Implies(phi.right, phi.left)))
+    raise TypeError(f"not a formula: {phi!r}")
 
 
 # The recursive-descent parser as it was before ``parse_formula`` became one
@@ -620,6 +689,20 @@ def reference_parse_dimacs(text: str) -> CnfFormula:
     return CnfFormula(tuple(clauses))
 
 
+# ``basic_to_implication`` as it was before it became one call to
+# ``horn_from_clauses``, so that neither reference calls the code under test.
+def reference_basic_to_implication(clause: Clause) -> HornImplication:
+    if TOP_LITERAL in clause.literals:
+        raise ValueError("clause contains the verum literal; drop valid clauses first")
+    positives = [lit.atom for lit in clause.literals if lit.positive]
+    negatives = [lit.atom for lit in clause.literals if not lit.positive]
+    if len(positives) > 1:
+        raise ValueError("not a basic Horn clause: more than one positive literal")
+    consequent = positives[0] if positives else BOT
+    antecedent: Antecedent = Conj(tuple(negatives)) if negatives else Top()
+    return HornImplication(antecedent, consequent)
+
+
 def reference_horn_from_clauses(cnf: CnfFormula) -> HornFormula:
     implications: list[HornImplication] = []
     for index, clause in enumerate(cnf.clauses):
@@ -627,7 +710,7 @@ def reference_horn_from_clauses(cnf: CnfFormula) -> HornFormula:
             continue
         if not is_basic_horn(clause):
             raise NotHornError(index, clause)
-        implications.append(basic_to_implication(clause))
+        implications.append(reference_basic_to_implication(clause))
     return HornFormula(tuple(implications))
 
 

@@ -11,7 +11,6 @@ from hornsat import (
     Not,
     Or,
     Verum,
-    desugar,
     enumerate_valuations,
     evaluate,
     parse_formula,
@@ -19,7 +18,7 @@ from hornsat import (
     symbols,
 )
 
-from helpers import SAT_CHAIN_TEXT, UNSAT_CHAIN_TEXT, formula_strategy
+from helpers import SAT_CHAIN_TEXT, UNSAT_CHAIN_TEXT, desugar, formula_strategy
 
 
 def test_symbols_of_constants():

@@ -42,6 +42,7 @@ from helpers import (
     outcome,
     random_cnf,
     random_dimacs_text,
+    reference_basic_to_implication,
     reference_horn_from_clauses,
     rule,
     unit,
@@ -75,6 +76,27 @@ def test_falsum_only_clause_becomes_unit():
 def test_verum_literal_rejected():
     with pytest.raises(ValueError):
         basic_to_implication(clause("top", "p"))
+
+
+_CLAUSES = st.lists(
+    st.sampled_from(("p", "~p", "q", "~q", "bot", "top")), min_size=1, max_size=4
+).map(lambda texts: clause(*texts))
+
+
+@given(_CLAUSES)
+@example(clause("bot"))
+@example(clause("top"))
+@example(clause("~p", "~p", "q", "q"))
+@example(clause("p", "q"))
+@example(clause("bot", "p"))
+def test_basic_to_implication_matches_reference(basic):
+    try:
+        expected = reference_basic_to_implication(basic)
+    except ValueError:
+        with pytest.raises(ValueError):
+            basic_to_implication(basic)
+    else:
+        assert basic_to_implication(basic) == expected
 
 
 def test_benchmark_conversion():

@@ -18,7 +18,6 @@ from hornsat import (
     SymbolCapError,
     Verum,
     classify,
-    desugar,
     enumerate_valuations,
     equivalent,
     models,
@@ -33,6 +32,7 @@ from hornsat.cli import cli_main
 from helpers import (
     SAT_CHAIN_TEXT,
     UNSAT_CHAIN_TEXT,
+    desugar,
     formula_strategy,
     random_formula,
     reference_classify,

@@ -23,7 +23,6 @@ from hornsat import (
     Verum,
     parse_dimacs,
     parse_formula,
-    render,
 )
 
 from helpers import (
@@ -34,6 +33,7 @@ from helpers import (
     random_formula,
     reference_parse_dimacs,
     reference_parse_formula,
+    render,
     same_tree,
 )
 
