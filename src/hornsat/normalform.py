@@ -15,7 +15,8 @@ any nesting, is flattened and combined left to right, so that a
 right-nested chain costs no more than a left-nested one.  A
 biconditional is read as the conjunction of both implications, or when
 negative as ``(a & ~b) | (~a & b)``.  No negation normal form tree is
-built.
+built, and clauses are lists of int literal codes until the final
+simplification maps each code to its ``Literal``.
 
 The falsum constant is an atomic formula here, so it may appear inside
 literals; the verum literal is the negation of falsum.
@@ -24,7 +25,6 @@ literals; the verum literal is the negation of falsum.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from itertools import chain
 
 from .formula import And, Atom, Falsum, Formula, Iff, Implies, Not, Or, Valuation, Verum
 
@@ -128,11 +128,13 @@ class CnfFormula:
         return phi
 
 
-# Clauses are built as lists of plain (atom, positive) pairs: tuple hashing
-# and equality run at C speed, which matters when a formula blows up into
-# hundreds of thousands of clauses.
-_BOT_PAIR = (BOT, True)
-_TOP_PAIR = (BOT, False)
+# Clauses are built as lists of small int literal codes, one per distinct
+# (atom, positive) pair, interned once per leaf occurrence: a blowup repeats
+# the same few literals across hundreds of thousands of clauses, and ints
+# hash and compare cheaper than tuples.  Code 0 is ``BOT_LITERAL`` and
+# code 1 ``TOP_LITERAL``.
+_BOT_CODE = 0
+_TOP_CODE = 1
 
 # Work-stack markers: combine the two clause lists on top of the value stack.
 _CONCAT = object()
@@ -164,15 +166,18 @@ def _chain_operands(node: Formula, positive: bool) -> list[tuple[Formula, bool]]
     return operands
 
 
-def _clause_lists(phi: Formula, budget: int | None) -> list[list[tuple[str, bool]]]:
-    """The clauses of ``phi`` as pair lists, in source order.
+def _clause_lists(phi: Formula, budget: int | None) -> tuple[list[list[int]], list[Literal]]:
+    """The clauses of ``phi`` as lists of literal codes, in source order,
+    and the literal of each code.
 
     Every clause list on the value stack, and every clause in it, has
     exactly one owner, so concatenation and a product with a single
     right-hand clause extend in place.
     """
+    literals = [BOT_LITERAL, TOP_LITERAL]
+    code_of: dict[tuple[str, bool], int] = {}
     todo: list[tuple[object, bool]] = [(phi, True)]
-    values: list[list[list[tuple[str, bool]]]] = []
+    values: list[list[list[int]]] = []
     while todo:
         node, positive = todo.pop()
         if node is _CONCAT:
@@ -194,11 +199,16 @@ def _clause_lists(phi: Formula, budget: int | None) -> list[list[tuple[str, bool
             else:
                 values.append([lc + rc for lc in left for rc in right])
         elif isinstance(node, Atom):
-            values.append([[(node.name, positive)]])
+            key = (node.name, positive)
+            code = code_of.get(key)
+            if code is None:
+                code = code_of[key] = len(literals)
+                literals.append(Literal(*key))
+            values.append([[code]])
         elif isinstance(node, Falsum):
-            values.append([[(BOT, positive)]])
+            values.append([[_BOT_CODE if positive else _TOP_CODE]])
         elif isinstance(node, Verum):
-            values.append([[(BOT, not positive)]])
+            values.append([[_TOP_CODE if positive else _BOT_CODE]])
         elif isinstance(node, Not):
             todo.append((node.operand, not positive))
         elif isinstance(node, Iff):
@@ -218,7 +228,10 @@ def _clause_lists(phi: Formula, budget: int | None) -> list[list[tuple[str, bool
             todo.append(operands[0])
         else:
             raise TypeError(f"not a formula: {node!r}")
-    return values[0]
+    # A single leaf, however negated, never reaches a combine marker.
+    if budget is not None and len(values[0]) > budget:
+        raise ClauseBudgetError(f"conversion exceeds the budget of {budget} clauses")
+    return values[0], literals
 
 
 def to_cnf(phi: Formula, max_clauses: int | None = None) -> CnfFormula:
@@ -230,18 +243,16 @@ def to_cnf(phi: Formula, max_clauses: int | None = None) -> CnfFormula:
     dropped from clauses that have other literals.  If every clause is
     dropped, the single verum clause remains.
     """
-    raw = _clause_lists(phi, max_clauses)
-    # One Literal per distinct pair: a blowup repeats the same few pairs
-    # across every clause.
-    literal_of = {pair: Literal(*pair) for pair in set(chain.from_iterable(raw))}.__getitem__
+    raw, literals = _clause_lists(phi, max_clauses)
+    literal_at = literals.__getitem__
     clauses: list[Clause] = []
-    for pairs in raw:
-        if _TOP_PAIR in pairs:
+    for codes in raw:
+        if _TOP_CODE in codes:
             continue
-        kept = dict.fromkeys(pairs)
+        kept = dict.fromkeys(codes)
         if len(kept) > 1:
-            kept.pop(_BOT_PAIR, None)
-        clauses.append(Clause(tuple(map(literal_of, kept))))
+            kept.pop(_BOT_CODE, None)
+        clauses.append(Clause(tuple(map(literal_at, kept))))
     if not clauses:
         clauses.append(Clause((TOP_LITERAL,)))
     return CnfFormula(tuple(clauses))

@@ -517,8 +517,11 @@ def _distribute(phi: Formula, budget: int | None) -> list[list[tuple[str, bool]]
 def reference_to_cnf(phi: Formula, max_clauses: int | None = None) -> CnfFormula:
     """``to_cnf`` through the recursive reference passes, with the
     simplification its docstring states."""
+    raw = _distribute(_nnf(phi), max_clauses)
+    if max_clauses is not None and len(raw) > max_clauses:
+        raise ClauseBudgetError(f"conversion exceeds the budget of {max_clauses} clauses")
     clauses = []
-    for pairs in _distribute(_nnf(phi), max_clauses):
+    for pairs in raw:
         if _TOP_PAIR in pairs:
             continue
         kept = list(dict.fromkeys(pairs))

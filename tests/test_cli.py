@@ -1,6 +1,7 @@
 """Command-line contract: exit codes, output formats, JSON schema."""
 
 import contextlib
+import gc
 import io
 import json
 import random
@@ -127,7 +128,7 @@ def test_solve_large_dimacs_file(tmp_path, capsys):
     verdict, model = capsys.readouterr().out.splitlines()
     assert verdict == "SAT"
     assert {entry[:-2] for entry in model.split() if entry.endswith("=1")} == planted
-    # About 6 s on a 2-vCPU VM; a pass quadratic in the clause count would
+    # About 4 s on a 2-vCPU VM; a pass quadratic in the clause count would
     # take hours.
     assert elapsed < 60.0
 
@@ -140,6 +141,23 @@ def test_solve_dimacs_unsat(write, capsys):
 def test_solve_clause_budget(write, capsys):
     assert cli_main(["solve", write("(a & b) | (c & d) | (e & f)"), "--max-clauses", "3"]) == 1
     assert "budget" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize(
+    "text, clauses",
+    [("p", "  p\nhorn:\n  top -> p\n"), ("~~p", "  p\nhorn:\n  top -> p\n"), ("true", "  ~bot\nhorn:\n")],
+    ids=["atom", "double-negation", "verum"],
+)
+def test_single_leaf_counts_against_the_clause_budget(write, capsys, text, clauses):
+    # A single leaf is one clause, though no connective combines anything.
+    path = write(text)
+    for command in ("solve", "trace", "convert"):
+        assert cli_main([command, path, "--max-clauses", "0"]) == 1
+        captured = capsys.readouterr()
+        _assert_one_error_line(captured)
+        assert captured.err == "error: conversion exceeds the budget of 0 clauses\n"
+    assert cli_main(["convert", path, "--max-clauses", "1"]) == 0
+    assert capsys.readouterr().out == "clauses:\n" + clauses
 
 
 def test_solve_precheck_note_on_diagnostic_stream(write, capsys):
@@ -361,6 +379,82 @@ def test_repeated_calls_share_no_state(write, capsys):
     for _ in range(2):
         assert [_run(argv, capsys) for argv in runs] == alone
     assert _build_parser() is parser
+
+
+def test_commands_leave_no_reference_cycles(write, tmp_path, capsys):
+    # ``cli_main`` pauses the cyclic collector while a command runs.  That
+    # leaks nothing only while reference counting alone frees everything a
+    # command builds, on success and on every error path.
+    formula_sat = write(SAT_CHAIN_TEXT, name="sat.txt")
+    formula_unsat = write(UNSAT_CHAIN_TEXT, name="unsat.txt")
+    dimacs_sat = write("p cnf 3 3\n1 0\n-1 2 0\n-2 -3 0", name="sat.cnf")
+    dimacs_unsat = write("p cnf 2 3\n1 0\n-1 2 0\n-2 0", name="unsat.cnf")
+    undecodable = tmp_path / "undecodable.txt"
+    undecodable.write_bytes(b"\xff\xfe p")
+    runs = [
+        (["solve", formula_sat], 10),
+        (["solve", formula_unsat, "--no-precheck"], 20),
+        (["solve", dimacs_sat, "--dimacs"], 10),
+        (["solve", dimacs_unsat, "--dimacs"], 20),
+        (["trace", formula_sat], 10),
+        (["trace", formula_unsat], 20),
+        (["trace", dimacs_sat, "--dimacs"], 10),
+        (["trace", formula_sat, "--json"], 10),
+        (["trace", formula_unsat, "--json"], 20),
+        (["trace", dimacs_unsat, "--dimacs", "--json"], 20),
+        (["convert", formula_sat], 0),
+        (["convert", dimacs_unsat, "--dimacs"], 0),
+        (["classify", formula_sat], 0),
+        (["classify", formula_unsat], 0),
+        (["solve", write("p & (q |", name="parse.txt")], 1),
+        (["classify", write("p ->", name="parse2.txt")], 1),
+        (["solve", write("p cnf 1 1\n1 x 0", name="bad.cnf"), "--dimacs"], 1),
+        (["solve", write("p | q", name="wide.txt")], 1),
+        (["trace", write("p cnf 2 1\n1 2 0", name="wide.cnf"), "--dimacs", "--json"], 1),
+        (["convert", write("(a & b) | (c & d)", name="blowup.txt"), "--max-clauses", "3"], 1),
+        (["classify", write("p | q | r", name="cap.txt"), "--max-symbols", "2"], 1),
+        (["solve", str(tmp_path / "missing.txt")], 1),
+        (["trace", str(undecodable)], 1),
+    ]
+    cli_main(["solve", formula_sat])  # builds the parser once, as in any process
+    collecting = gc.isenabled()
+    gc.disable()
+    try:
+        gc.collect()
+        for argv, code in runs:
+            assert cli_main(argv) == code, argv
+            capsys.readouterr()
+            assert gc.collect() == 0, argv
+    finally:
+        if collecting:
+            gc.enable()
+
+
+@pytest.mark.parametrize("collecting", [True, False], ids=["enabled", "disabled"])
+def test_cli_leaves_the_collector_as_it_found_it(write, capsys, monkeypatch, collecting):
+    runs = [
+        (["solve", write("p & (~p | q)", name="sat.txt")], 10),
+        (["trace", write("p & ~p", name="unsat.txt"), "--json"], 20),
+        (["convert", write("p | q", name="wide.txt")], 1),
+        (["classify", write("p &", name="parse.txt")], 1),
+    ]
+    before = gc.isenabled()
+    (gc.enable if collecting else gc.disable)()
+    try:
+        for argv, code in runs:
+            assert cli_main(argv) == code
+            assert gc.isenabled() is collecting
+        capsys.readouterr()
+
+        def unexpected(args):
+            raise RuntimeError("unexpected")
+
+        monkeypatch.setattr("hornsat.cli._load_cnf", unexpected)
+        with pytest.raises(RuntimeError):
+            cli_main(runs[0][0])
+        assert gc.isenabled() is collecting
+    finally:
+        (gc.enable if before else gc.disable)()
 
 
 _NAMES = ("p", "q", "z", "top", "é", 'a"b')  # "top" displays like TOP

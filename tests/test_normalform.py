@@ -124,7 +124,7 @@ def _conversion(convert, phi, budget):
 p, q = Atom("p"), Atom("q")
 
 
-@given(formula_strategy(max_leaves=12), st.one_of(st.none(), st.integers(1, 8)))
+@given(formula_strategy(max_leaves=12), st.one_of(st.none(), st.integers(0, 8)))
 @example(Iff(p, Not(q)), None)
 @example(Not(Iff(p, Not(q))), None)
 @example(Iff(Verum(), Falsum()), None)
@@ -133,6 +133,9 @@ p, q = Atom("p"), Atom("q")
 @example(Not(Implies(Verum(), Falsum())), None)
 @example(parse_formula("(a & b) | (c & d) | (e & f)"), 3)
 @example(Not(Or(And(p, q), And(q, p))), 1)
+@example(p, 0)
+@example(Not(Not(p)), 0)
+@example(Verum(), 0)
 def test_to_cnf_matches_reference_passes(phi, budget):
     assert _conversion(to_cnf, phi, budget) == _conversion(reference_to_cnf, phi, budget)
 
