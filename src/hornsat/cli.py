@@ -18,9 +18,9 @@ from functools import cache
 from typing import Callable, Iterator, Sequence
 
 from .formula import symbols
-from .horn import HornFormula, HornImplication, NotHornError, Top, horn_from_clauses
+from .horn import HornFormula, HornImplication, NotHornError, horn_from_clauses
 from .normalform import BOT, TOP, Clause, ClauseBudgetError, CnfFormula, Literal, to_cnf
-from .oracle import DEFAULT_SYMBOL_CAP, Classification, SymbolCapError, classify
+from .oracle import DEFAULT_SYMBOL_CAP, SymbolCapError, classify
 from .parsing import DimacsError, ParseError, parse_dimacs, parse_formula
 from .solver import SolveOutcome, TraceStep, extract_model, precheck, solve
 
@@ -52,10 +52,7 @@ def _render_clause(clause: Clause) -> str:
 
 
 def render_implication(imp: HornImplication) -> str:
-    if isinstance(imp.antecedent, Top):
-        left = "top"
-    else:
-        left = " & ".join(display_atom(a) for a in imp.antecedent.atoms)
+    left = " & ".join(map(display_atom, imp.antecedent.atoms)) or "top"
     return f"{left} -> {display_atom(imp.consequent)}"
 
 
@@ -285,16 +282,9 @@ def _cmd_convert(args: argparse.Namespace) -> int:
     return 0
 
 
-_CLASSIFY_LABELS = {
-    Classification.VALID: "Valid",
-    Classification.SATISFIABLE: "Satisfiable",
-    Classification.CONTRADICTORY: "Contradictory",
-}
-
-
 def _cmd_classify(args: argparse.Namespace) -> int:
     verdict = classify(parse_formula(_read_input(args.path)), cap=args.max_symbols)
-    print(_CLASSIFY_LABELS[verdict])
+    print(verdict.value.capitalize())
     return 0
 
 

@@ -13,7 +13,8 @@ from __future__ import annotations
 
 import re
 from dataclasses import dataclass
-from typing import Callable, Mapping, Union
+from functools import reduce
+from typing import Callable, Iterable, Mapping, Union
 
 __all__ = [
     "And",
@@ -31,7 +32,9 @@ __all__ = [
     "symbols",
 ]
 
-_NAME_RE = re.compile(r"[A-Za-z][A-Za-z0-9_]*\Z")
+# The atom grammar: what the parser reads as an atom is what Atom accepts.
+_IDENTIFIER = r"[A-Za-z][A-Za-z0-9_]*"
+_NAME_RE = re.compile(_IDENTIFIER + r"\Z")
 
 # Words the textual grammar treats as constants; they can never name atoms.
 _RESERVED = frozenset({"false", "bot", "true", "top"})
@@ -92,6 +95,16 @@ class Iff:
 Formula = Union[Falsum, Verum, Atom, Not, Or, And, Implies, Iff]
 
 Valuation = Mapping[str, int]
+
+
+def _join(
+    connective: Callable[[Formula, Formula], Formula], parts: Iterable[Formula], empty: Formula
+) -> Formula:
+    """``parts`` folded left to right with ``connective``; no parts read
+    as ``empty``."""
+    parts = iter(parts)
+    first = next(parts, None)
+    return empty if first is None else reduce(connective, parts, first)
 
 
 def symbols(phi: Formula) -> set[str]:

@@ -1,18 +1,20 @@
 """Recognition of basic Horn clauses and their rewriting into implications.
 
 A clause with at most one positive literal can always be written as an
-implication whose antecedent is verum or a conjunction of atoms and whose
-consequent is a single atom (falsum included on both sides).  A Horn
+implication whose antecedent is a conjunction of atoms and whose
+consequent is a single atom (falsum included on both sides).  Verum is
+the empty conjunction: :class:`Top` has no atoms, so every reader takes
+an antecedent's ``atoms`` without asking which kind it is.  A Horn
 formula is an ordered conjunction of such implications.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Union
+from typing import ClassVar, Union
 
-from .formula import And, Atom, Falsum, Formula, Implies, Verum
-from .normalform import BOT, TOP, TOP_LITERAL, Clause, CnfFormula, to_cnf
+from .formula import And, Formula, Implies, Verum, _join
+from .normalform import BOT, TOP, TOP_LITERAL, Clause, CnfFormula, _token_formula, to_cnf
 
 __all__ = [
     "Antecedent",
@@ -42,7 +44,9 @@ class NotHornError(ValueError):
 
 @dataclass(frozen=True)
 class Top:
-    """The verum antecedent of a unit implication."""
+    """The verum antecedent of a unit implication: the empty conjunction."""
+
+    atoms: ClassVar[tuple[str, ...]] = ()
 
 
 @dataclass(frozen=True)
@@ -111,6 +115,10 @@ def basic_to_implication(clause: Clause) -> HornImplication:
 _TOP = Top()
 
 
+# The two unchecked constructors below are kept on purpose: with the
+# checked Conj and HornImplication, horn_from_clauses took 1.2x as long on
+# twenty 400-clause Horn CNFs and on one of 200,000 clauses (medians of
+# alternating runs, CPython 3.11, 2-vCPU VM).
 def _conj(atoms: list[str]) -> Conj:
     """A conjunction built without the constructor's checks, for callers
     that guarantee ``atoms`` is nonempty and free of verum."""
@@ -171,31 +179,16 @@ def horn_symbols(phi: HornFormula) -> set[str]:
     """Propositional symbol names occurring in ``phi`` (constants excluded)."""
     found = {imp.consequent for imp in phi.implications}
     for imp in phi.implications:
-        if isinstance(imp.antecedent, Conj):
-            found.update(imp.antecedent.atoms)
+        found.update(imp.antecedent.atoms)
     found.discard(BOT)
     return found
 
 
-def _atom_formula(atom: str) -> Formula:
-    return Falsum() if atom == BOT else Atom(atom)
-
-
 def implication_to_formula(imp: HornImplication) -> Formula:
-    if isinstance(imp.antecedent, Top):
-        left: Formula = Verum()
-    else:
-        left = _atom_formula(imp.antecedent.atoms[0])
-        for atom in imp.antecedent.atoms[1:]:
-            left = And(left, _atom_formula(atom))
-    return Implies(left, _atom_formula(imp.consequent))
+    left = _join(And, map(_token_formula, imp.antecedent.atoms), Verum())
+    return Implies(left, _token_formula(imp.consequent))
 
 
 def horn_to_formula(phi: HornFormula) -> Formula:
     """The formula reading of ``phi``; the empty formula reads as verum."""
-    if not phi.implications:
-        return Verum()
-    result = implication_to_formula(phi.implications[0])
-    for imp in phi.implications[1:]:
-        result = And(result, implication_to_formula(imp))
-    return result
+    return _join(And, map(implication_to_formula, phi.implications), Verum())

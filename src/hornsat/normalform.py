@@ -26,7 +26,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .formula import And, Atom, Falsum, Formula, Iff, Implies, Not, Or, Valuation, Verum
+from .formula import And, Atom, Falsum, Formula, Iff, Implies, Not, Or, Valuation, Verum, _join
 
 __all__ = [
     "BOT",
@@ -44,6 +44,11 @@ __all__ = [
 # can share the namespace of symbol names inside literals and solver sets.
 BOT = "⊥"
 TOP = "⊤"
+
+
+def _token_formula(atom: str) -> Formula:
+    """The formula reading of an atom token: falsum or a named atom."""
+    return Falsum() if atom == BOT else Atom(atom)
 
 
 class ClauseBudgetError(ValueError):
@@ -64,7 +69,7 @@ class Literal:
             raise ValueError("literal atom must be nonempty")
 
     def to_formula(self) -> Formula:
-        base: Formula = Falsum() if self.atom == BOT else Atom(self.atom)
+        base = _token_formula(self.atom)
         return base if self.positive else Not(base)
 
 
@@ -91,14 +96,8 @@ class Clause:
                 return 1
         return 0
 
-    def symbols(self) -> set[str]:
-        return {lit.atom for lit in self.literals if lit.atom != BOT}
-
     def to_formula(self) -> Formula:
-        phi = self.literals[0].to_formula()
-        for lit in self.literals[1:]:
-            phi = Or(phi, lit.to_formula())
-        return phi
+        return _join(Or, map(Literal.to_formula, self.literals), Falsum())
 
 
 @dataclass(frozen=True)
@@ -107,6 +106,10 @@ class CnfFormula:
 
     clauses: tuple[Clause, ...]
 
+    # Clause by clause, not ``evaluate(self.to_formula(), ...)``: building
+    # the readback for every row took the 500-formula CNF equivalence check
+    # (acceptance criterion 9) from 3.6 s to 318 s, against its 10 s bound
+    # (CPython 3.11, 2-vCPU VM).
     def evaluate(self, valuation: Valuation) -> int:
         for clause in self.clauses:
             if not clause.evaluate(valuation):
@@ -114,18 +117,10 @@ class CnfFormula:
         return 1
 
     def symbols(self) -> set[str]:
-        found: set[str] = set()
-        for clause in self.clauses:
-            found |= clause.symbols()
-        return found
+        return {lit.atom for clause in self.clauses for lit in clause.literals if lit.atom != BOT}
 
     def to_formula(self) -> Formula:
-        if not self.clauses:
-            return Verum()
-        phi = self.clauses[0].to_formula()
-        for clause in self.clauses[1:]:
-            phi = And(phi, clause.to_formula())
-        return phi
+        return _join(And, map(Clause.to_formula, self.clauses), Verum())
 
 
 # Clauses are built as lists of small int literal codes, one per distinct

@@ -17,7 +17,7 @@ from __future__ import annotations
 import re
 from typing import Sequence
 
-from .formula import And, Atom, Falsum, Formula, Iff, Implies, Not, Or, Verum
+from .formula import _IDENTIFIER, And, Atom, Falsum, Formula, Iff, Implies, Not, Or, Verum
 from .normalform import BOT_LITERAL, Clause, CnfFormula, Literal
 
 __all__ = [
@@ -69,12 +69,11 @@ _BUILD = (None, Iff, Implies, Or, And)
 # least this tightly: an equal one too when it is left-associative.
 _REDUCES_FROM = (None, _LEVEL_IFF + 1, _LEVEL_IMPLIES + 1, _LEVEL_OR, _LEVEL_AND)
 
-_IDENT = r"[A-Za-z][A-Za-z0-9_]*"
-_is_identifier = re.compile(_IDENT).match
+_is_identifier = re.compile(_IDENTIFIER).match
 _SPELLINGS = tuple(sorted([*_BINARY, *_PREFIX, ")", "⊥", "⊤"], key=len, reverse=True))
 # One lexeme per match: an identifier, an operator or constant spelling, or
 # any other single character, which is an error.
-_LEXEME_RE = re.compile(r"\s*(" + "|".join([_IDENT, *map(re.escape, _SPELLINGS)]) + r"|\S)")
+_LEXEME_RE = re.compile(r"\s*(" + "|".join([_IDENTIFIER, *map(re.escape, _SPELLINGS)]) + r"|\S)")
 
 _OPERAND = ("an atom", "'false'", "'true'", "'~'", "'('")
 _AFTER_OPERAND = ("end of input", "a binary operator")
@@ -174,7 +173,8 @@ def parse_dimacs(text: str) -> CnfFormula:
     Variable k maps to the symbol ``x<k>``; a bare ``0`` line is the empty
     clause and maps to the single-falsum clause.  A literal repeated in a
     clause counts once, at its first occurrence.  Comment lines start with
-    ``c``.  Raises :class:`DimacsError` on a malformed header, a literal
+    ``c``.  The header is ``p cnf VARS CLAUSES`` with two non-negative
+    ints.  Raises :class:`DimacsError` on a malformed header, a literal
     outside the declared range, or a clause without its 0 terminator.
     """
     declared_vars: int | None = None
@@ -191,14 +191,11 @@ def parse_dimacs(text: str) -> CnfFormula:
             if declared_vars is not None:
                 raise DimacsError(f"line {line_no}: duplicate header")
             fields = stripped.split()
-            if len(fields) != 4 or fields[1] != "cnf":
-                raise DimacsError(f"line {line_no}: malformed header {stripped!r}")
             try:
-                declared_vars = int(fields[2])
-                int(fields[3])
-            except ValueError:
-                raise DimacsError(f"line {line_no}: malformed header {stripped!r}") from None
-            if declared_vars < 0:
+                declared_vars, declared_clauses = map(int, fields[2:])
+            except ValueError:  # not exactly two ints
+                declared_vars = declared_clauses = -1
+            if fields[:2] != ["p", "cnf"] or min(declared_vars, declared_clauses) < 0:
                 raise DimacsError(f"line {line_no}: malformed header {stripped!r}")
             continue
         if declared_vars is None:

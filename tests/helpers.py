@@ -656,14 +656,11 @@ def reference_parse_dimacs(text: str) -> CnfFormula:
             if declared_vars is not None:
                 raise DimacsError(f"line {line_no}: duplicate header")
             fields = stripped.split()
-            if len(fields) != 4 or fields[1] != "cnf":
-                raise DimacsError(f"line {line_no}: malformed header {stripped!r}")
             try:
-                declared_vars = int(fields[2])
-                int(fields[3])
-            except ValueError:
-                raise DimacsError(f"line {line_no}: malformed header {stripped!r}") from None
-            if declared_vars < 0:
+                declared_vars, declared_clauses = map(int, fields[2:])
+            except ValueError:  # not exactly two ints
+                declared_vars = declared_clauses = -1
+            if fields[:2] != ["p", "cnf"] or min(declared_vars, declared_clauses) < 0:
                 raise DimacsError(f"line {line_no}: malformed header {stripped!r}")
             continue
         if declared_vars is None:

@@ -109,6 +109,17 @@ def test_solve_dimacs(write, capsys):
     assert capsys.readouterr().out == "SAT\nx1=1 x2=1\n"
 
 
+@pytest.mark.parametrize("header", ["pizza cnf 2 1", "p cnf 2 -1"])
+def test_solve_dimacs_rejects_a_malformed_header(write, capsys, header):
+    path = write(f"{header}\n1 0", name="input.cnf")
+    assert cli_main(["solve", path, "--dimacs"]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == f"error: line 1: malformed header {header!r}\n"
+    assert cli_main(["solve", write("p cnf 2 1\n1 0", name="good.cnf"), "--dimacs"]) == 10
+    assert capsys.readouterr().out == "SAT\nx1=1\n"
+
+
 def test_solve_dimacs_repeated_literals_count_once(write, capsys):
     path = write("p cnf 2 2\n1 1 0\n-1 -1 2 0", name="input.cnf")
     assert cli_main(["solve", path, "--dimacs"]) == 10

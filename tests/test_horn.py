@@ -1,5 +1,6 @@
 """Basic-Horn recognition and clause-to-implication rewriting."""
 
+import dataclasses
 import itertools
 import random
 
@@ -10,11 +11,13 @@ from hypothesis import example, given
 from hornsat import (
     BOT,
     TOP,
+    Atom,
     Clause,
     CnfFormula,
     Conj,
     HornFormula,
     HornImplication,
+    Implies,
     Literal,
     NotHornError,
     Top,
@@ -30,6 +33,7 @@ from hornsat import (
     parse_dimacs,
     parse_formula,
 )
+from hornsat.cli import render_implication
 
 from helpers import (
     GOLDEN_SHORT,
@@ -139,6 +143,17 @@ def test_conj_deduplicates_and_rejects_verum():
 def test_consequent_must_be_positive():
     with pytest.raises(ValueError):
         HornImplication(Top(), TOP)
+
+
+def test_top_is_a_fieldless_empty_conjunction():
+    # ``atoms`` is a class attribute, so Top keeps no fields and compares,
+    # hashes and prints as before.
+    assert dataclasses.fields(Top()) == ()
+    assert Top() == Top() and hash(Top()) == hash(Top())
+    assert repr(Top()) == "Top()"
+    assert Top().atoms == ()
+    assert render_implication(unit("p")) == "top -> p"
+    assert implication_to_formula(unit("p")) == Implies(Verum(), Atom("p"))
 
 
 def test_horn_symbols():

@@ -1,11 +1,16 @@
-"""The shape of the package: its public names, and no recursion in it."""
+"""The shape of the package: its public names, its imports, no recursion
+in it, and the README's library example."""
 
 import ast
+import contextlib
+import io
+import re
 from pathlib import Path
 
 import hornsat
 
 SOURCE = Path(hornsat.__file__).parent
+README = Path(__file__).resolve().parents[1] / "README.md"
 
 
 def _self_calls(function: ast.FunctionDef) -> bool:
@@ -36,6 +41,42 @@ def test_no_function_calls_itself():
         if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)) and _self_calls(node)
     ]
     assert recursive == []
+
+
+def _unused_imports(tree: ast.Module) -> list[str]:
+    """Names an import binds that nothing in the module reads."""
+    imported: dict[str, int] = {}
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import) or (
+            isinstance(node, ast.ImportFrom) and node.module != "__future__"
+        ):
+            for alias in node.names:
+                imported[(alias.asname or alias.name).split(".")[0]] = node.lineno
+    read = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
+    return [f"{line} {name}" for name, line in imported.items() if name not in read]
+
+
+def test_every_import_is_used():
+    # ``__init__`` imports to re-export; every other module imports to use.
+    unused = [
+        f"{path.name}:{entry}"
+        for path in sorted(SOURCE.glob("*.py"))
+        if path.name != "__init__.py"
+        for entry in _unused_imports(ast.parse(path.read_text(encoding="utf-8")))
+    ]
+    assert unused == []
+
+
+def test_readme_library_example_runs_as_shown():
+    (block,) = re.findall(r"```python\n(.*?)```", README.read_text(encoding="utf-8"), re.S)
+    out = io.StringIO()
+    with contextlib.redirect_stdout(out):
+        exec(compile(block, str(README), "exec"), {})
+    assert out.getvalue() == (
+        "{'p': 1, 'q': 0, 'r': 0, 's': 0}\n"
+        "0 p ['p', '⊤']\n"
+        "None None ['p', '⊤']\n"
+    )
 
 
 def test_public_names_are_exactly_these():

@@ -274,7 +274,9 @@ def test_parse_dimacs_comments_and_multiline_clauses():
         "",
         "1 0\n",
         "p dnf 1 1\n1 0\n",
+        "pizza cnf 1 1\n1 0\n",
         "p cnf x 1\n1 0\n",
+        "p cnf 1 -1\n1 0\n",
         "p cnf 1\n1 0\n",
         "p cnf 1 1\np cnf 1 1\n1 0\n",
     ],
@@ -317,7 +319,10 @@ _DIMACS_BREAKS = (" ", " ", " ", "\t", "\n", "\nc a comment\n", "\n\n  ")
 def dimacs_texts(draw):
     n_vars = draw(st.integers(0, 3))
     header = draw(
-        st.sampled_from((f"p cnf {n_vars} 4",) * 6 + ("", "p cnf 1", "p dnf 1 1", "p cnf -1 1"))
+        st.sampled_from(
+            (f"p cnf {n_vars} 4",) * 6
+            + ("", "p cnf 1", "p dnf 1 1", "p cnf -1 1", "pizza cnf 1 1", "p cnf 1 -1")
+        )
     )
     parts = [draw(st.sampled_from(("", "c leading comment\n"))), header, "\n"]
     for token in draw(st.lists(st.sampled_from(_DIMACS_TOKENS), max_size=14)):
