@@ -13,11 +13,10 @@ import gc
 import json
 import sys
 from bisect import bisect_right
-from dataclasses import dataclass
 from functools import cache
 from typing import Callable, Iterator, Sequence
 
-from .formula import symbols
+from .formula import _record, symbols
 from .horn import HornFormula, HornImplication, NotHornError, horn_from_clauses
 from .normalform import BOT, TOP, Clause, ClauseBudgetError, CnfFormula, Literal, to_cnf
 from .oracle import DEFAULT_SYMBOL_CAP, SymbolCapError, classify
@@ -113,7 +112,7 @@ def _json_str(value: str | None) -> str:
     return "null" if value is None else json.dumps(value)
 
 
-@dataclass(frozen=True)
+@_record()
 class TraceDocument:
     """A full solver run, ready for text or JSON output."""
 

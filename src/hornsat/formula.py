@@ -12,7 +12,7 @@ from the mapping read as 0, so every partial map is total by convention.
 from __future__ import annotations
 
 import re
-from dataclasses import dataclass
+from dataclasses import FrozenInstanceError, dataclass
 from functools import reduce
 from typing import Callable, Iterable, Mapping, Union
 
@@ -40,56 +40,94 @@ _NAME_RE = re.compile(_IDENTIFIER + r"\Z")
 _RESERVED = frozenset({"false", "bot", "true", "top"})
 
 
-@dataclass(frozen=True)
+def _record(init: bool = True) -> Callable[[type], type]:
+    """``dataclass(frozen=True, slots=True, init=init)``: a record without an
+    instance dict.  The generated ``__setattr__`` and ``__delattr__`` stay
+    tied to the class that the slotted one replaces, so they raise TypeError
+    for a name that is not a field (CPython 3.11); these two raise
+    FrozenInstanceError for every name, as an unslotted frozen one does."""
+
+    def make(cls: type) -> type:
+        cls = dataclass(frozen=True, slots=True, init=init)(cls)
+        cls.__setattr__, cls.__delattr__ = _frozen_setattr, _frozen_delattr
+        return cls
+
+    return make
+
+
+def _frozen_setattr(self: object, name: str, value: object) -> None:
+    raise FrozenInstanceError(f"cannot assign to field {name!r}")
+
+
+def _frozen_delattr(self: object, name: str) -> None:
+    raise FrozenInstanceError(f"cannot delete field {name!r}")
+
+
+@_record()
 class Falsum:
     """The always-false constant."""
 
 
-@dataclass(frozen=True)
+@_record()
 class Verum:
     """The always-true constant (abbreviates ``not falsum``)."""
 
 
-@dataclass(frozen=True)
+# The nodes that parsing and CNF conversion build in bulk take a written
+# ``__init__`` that stores each field through its slot descriptor, which
+# costs less than the generic call per field of a generated frozen one.
+@_record(init=False)
 class Atom:
     """A propositional symbol; two atoms are equal iff their names are."""
 
     name: str
 
-    def __post_init__(self) -> None:
-        if not _NAME_RE.match(self.name):
-            raise ValueError(f"invalid atom name {self.name!r}")
-        if self.name in _RESERVED:
-            raise ValueError(f"{self.name!r} is a reserved constant, not an atom name")
+    def __init__(self, name: str) -> None:
+        if not _NAME_RE.match(name):
+            raise ValueError(f"invalid atom name {name!r}")
+        if name in _RESERVED:
+            raise ValueError(f"{name!r} is a reserved constant, not an atom name")
+        Atom.name.__set__(self, name)
 
 
-@dataclass(frozen=True)
+@_record(init=False)
 class Not:
     operand: "Formula"
 
+    def __init__(self, operand: Formula) -> None:
+        Not.operand.__set__(self, operand)
 
-@dataclass(frozen=True)
-class Or:
+
+@_record(init=False)
+class _Binary:
+    """The fields and constructor the four binary connectives share."""
+
     left: "Formula"
     right: "Formula"
 
-
-@dataclass(frozen=True)
-class And:
-    left: "Formula"
-    right: "Formula"
+    def __init__(self, left: Formula, right: Formula) -> None:
+        _Binary.left.__set__(self, left)
+        _Binary.right.__set__(self, right)
 
 
-@dataclass(frozen=True)
-class Implies:
-    left: "Formula"
-    right: "Formula"
+@_record(init=False)
+class Or(_Binary):
+    pass
 
 
-@dataclass(frozen=True)
-class Iff:
-    left: "Formula"
-    right: "Formula"
+@_record(init=False)
+class And(_Binary):
+    pass
+
+
+@_record(init=False)
+class Implies(_Binary):
+    pass
+
+
+@_record(init=False)
+class Iff(_Binary):
+    pass
 
 
 Formula = Union[Falsum, Verum, Atom, Not, Or, And, Implies, Iff]

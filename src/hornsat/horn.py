@@ -10,10 +10,9 @@ formula is an ordered conjunction of such implications.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import ClassVar, Union
+from typing import ClassVar, Iterable, Union
 
-from .formula import And, Formula, Implies, Verum, _join
+from .formula import And, Formula, Implies, Verum, _join, _record
 from .normalform import BOT, TOP, TOP_LITERAL, Clause, CnfFormula, _token_formula, to_cnf
 
 __all__ = [
@@ -42,42 +41,46 @@ class NotHornError(ValueError):
         super().__init__(f"clause {index} has more than one positive literal")
 
 
-@dataclass(frozen=True)
+@_record()
 class Top:
     """The verum antecedent of a unit implication: the empty conjunction."""
 
     atoms: ClassVar[tuple[str, ...]] = ()
 
 
-@dataclass(frozen=True)
+# Conj and HornImplication are built once per clause, so their written
+# ``__init__`` stores through the slot descriptors, as Clause does.
+@_record(init=False)
 class Conj:
     """A nonempty conjunction of atoms (symbol names, falsum allowed)."""
 
     atoms: tuple[str, ...]
 
-    def __post_init__(self) -> None:
-        deduped = tuple(dict.fromkeys(self.atoms))
+    def __init__(self, atoms: Iterable[str]) -> None:
+        deduped = tuple(dict.fromkeys(atoms))
         if not deduped:
             raise ValueError("empty antecedent conjunction; use Top() instead")
         if TOP in deduped:
             raise ValueError("verum cannot occur inside an antecedent conjunction")
-        object.__setattr__(self, "atoms", deduped)
+        Conj.atoms.__set__(self, deduped)
 
 
 Antecedent = Union[Top, Conj]
 
 
-@dataclass(frozen=True)
+@_record(init=False)
 class HornImplication:
     antecedent: Antecedent
     consequent: str  # symbol name or BOT
 
-    def __post_init__(self) -> None:
-        if self.consequent == TOP:
+    def __init__(self, antecedent: Antecedent, consequent: str) -> None:
+        if consequent == TOP:
             raise ValueError("consequents are positive literals; verum is not one")
+        HornImplication.antecedent.__set__(self, antecedent)
+        HornImplication.consequent.__set__(self, consequent)
 
 
-@dataclass(frozen=True)
+@_record()
 class HornFormula:
     """An ordered conjunction of implications.
 
@@ -115,27 +118,6 @@ def basic_to_implication(clause: Clause) -> HornImplication:
 _TOP = Top()
 
 
-# The two unchecked constructors below are kept on purpose: with the
-# checked Conj and HornImplication, horn_from_clauses took 1.2x as long on
-# twenty 400-clause Horn CNFs and on one of 200,000 clauses (medians of
-# alternating runs, CPython 3.11, 2-vCPU VM).
-def _conj(atoms: list[str]) -> Conj:
-    """A conjunction built without the constructor's checks, for callers
-    that guarantee ``atoms`` is nonempty and free of verum."""
-    conj = object.__new__(Conj)
-    object.__setattr__(conj, "atoms", tuple(dict.fromkeys(atoms)))
-    return conj
-
-
-def _implication(antecedent: Antecedent, consequent: str) -> HornImplication:
-    """An implication built without the constructor's check, for callers
-    whose consequent is an atom of a literal and so never verum."""
-    implication = object.__new__(HornImplication)
-    object.__setattr__(implication, "antecedent", antecedent)
-    object.__setattr__(implication, "consequent", consequent)
-    return implication
-
-
 def horn_from_clauses(cnf: CnfFormula) -> HornFormula:
     """Map each clause to an implication, preserving clause order.
 
@@ -162,8 +144,8 @@ def horn_from_clauses(cnf: CnfFormula) -> HornFormula:
             if len(positives) > 1:
                 raise NotHornError(index, clause)
             implications.append(
-                _implication(
-                    _conj(negatives) if negatives else _TOP,
+                HornImplication(
+                    Conj(negatives) if negatives else _TOP,
                     positives[0] if positives else BOT,
                 )
             )

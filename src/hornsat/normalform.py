@@ -24,9 +24,7 @@ literals; the verum literal is the negation of falsum.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
-from .formula import And, Atom, Falsum, Formula, Iff, Implies, Not, Or, Valuation, Verum, _join
+from .formula import And, Atom, Falsum, Formula, Iff, Implies, Not, Or, Valuation, Verum, _join, _record
 
 __all__ = [
     "BOT",
@@ -55,18 +53,22 @@ class ClauseBudgetError(ValueError):
     """CNF conversion would exceed the configured clause budget."""
 
 
-@dataclass(frozen=True)
+# As for the formula nodes, a written ``__init__`` stores through the slot
+# descriptors: DIMACS parsing and CNF conversion build clauses in bulk.
+@_record(init=False)
 class Literal:
     """A possibly negated atom; ``atom`` is a symbol name or ``BOT``."""
 
     atom: str
     positive: bool = True
 
-    def __post_init__(self) -> None:
-        if self.atom == TOP:
+    def __init__(self, atom: str, positive: bool = True) -> None:
+        if atom == TOP:
             raise ValueError("verum is not atomic; use the negative falsum literal")
-        if not self.atom:
+        if not atom:
             raise ValueError("literal atom must be nonempty")
+        Literal.atom.__set__(self, atom)
+        Literal.positive.__set__(self, positive)
 
     def to_formula(self) -> Formula:
         base = _token_formula(self.atom)
@@ -77,15 +79,16 @@ BOT_LITERAL = Literal(BOT, positive=True)
 TOP_LITERAL = Literal(BOT, positive=False)
 
 
-@dataclass(frozen=True)
+@_record(init=False)
 class Clause:
     """A disjunction of literals, in source order."""
 
     literals: tuple[Literal, ...]
 
-    def __post_init__(self) -> None:
-        if not self.literals:
+    def __init__(self, literals: tuple[Literal, ...]) -> None:
+        if not literals:
             raise ValueError("clauses are nonempty; the empty clause is (bot)")
+        Clause.literals.__set__(self, literals)
 
     def evaluate(self, valuation: Valuation) -> int:
         for lit in self.literals:
@@ -100,7 +103,7 @@ class Clause:
         return _join(Or, map(Literal.to_formula, self.literals), Falsum())
 
 
-@dataclass(frozen=True)
+@_record()
 class CnfFormula:
     """A conjunction of clauses, in source order."""
 

@@ -28,7 +28,6 @@ __all__ = [
     "enumerate_valuations",
     "equivalent",
     "models",
-    "semantic_consequence",
 ]
 
 DEFAULT_SYMBOL_CAP = 20
@@ -102,21 +101,6 @@ def classify(phi: Formula, cap: int = DEFAULT_SYMBOL_CAP) -> Classification:
     if truth == 0:
         return Classification.CONTRADICTORY
     return Classification.SATISFIABLE
-
-
-def semantic_consequence(
-    premises: Iterable[Formula], phi: Formula, cap: int = DEFAULT_SYMBOL_CAP
-) -> bool:
-    """True iff every valuation satisfying all premises satisfies ``phi``."""
-    premises = list(premises)
-    syms = symbols(phi)
-    for premise in premises:
-        syms |= symbols(premise)
-    table = _Table(syms, cap)
-    premises_hold = table.mask
-    for premise in premises:
-        premises_hold &= table.of(premise)
-    return premises_hold & ~table.of(phi) == 0
 
 
 def equivalent(phi: Formula, psi: Formula, cap: int = DEFAULT_SYMBOL_CAP) -> bool:

@@ -29,10 +29,10 @@ does linear work.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from heapq import heappop, heappush
 from typing import Iterable, Sequence
 
+from .formula import _record
 from .horn import HornFormula, horn_symbols
 from .normalform import BOT, TOP
 
@@ -61,9 +61,8 @@ class TraceStep:
     ``set_before`` equals the previous step's ``set_after``.
     """
 
-    # Written out by hand: a frozen slotted dataclass sets each field
-    # through ``object.__setattr__``, and made ``solve`` on a 100,000-link
-    # reverse chain 1.5x slower (0.30 -> 0.44 s, CPython 3.11, 2-vCPU VM).
+    # Written out by hand, not as a dataclass: equality and hash are over
+    # the two derived sets, not over the stored log and prefix lengths.
     __slots__ = ("_fired_index", "_consequent_added", "_remaining_after", "_log", "_before", "_after")
 
     def __init__(
@@ -125,7 +124,7 @@ class TraceStep:
         return f"TraceStep({fields})"
 
 
-@dataclass(frozen=True)
+@_record()
 class SolveOutcome:
     satisfiable: bool
     final_set: frozenset[str]

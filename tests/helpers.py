@@ -45,6 +45,7 @@ from hornsat import (
     symbols,
 )
 from hornsat.cli import _model_line, display_atom
+from hornsat.oracle import _Table
 
 # The three benchmark inputs exercised end to end.
 UNSAT_CHAIN_TEXT = "p & (~r | s) & (r | ~p | ~q) & (~r | ~s) & q"
@@ -529,6 +530,22 @@ def reference_to_cnf(phi: Formula, max_clauses: int | None = None) -> CnfFormula
             kept = [pair for pair in kept if pair != _BOT_PAIR]
         clauses.append(Clause(tuple(Literal(*pair) for pair in kept)))
     return CnfFormula(tuple(clauses) or (Clause((TOP_LITERAL,)),))
+
+
+# The bit-parallel consequence test; only the tests ask it, so it lives here.
+def semantic_consequence(
+    premises: Iterable[Formula], phi: Formula, cap: int = DEFAULT_SYMBOL_CAP
+) -> bool:
+    """True iff every valuation satisfying all premises satisfies ``phi``."""
+    premises = list(premises)
+    syms = symbols(phi)
+    for premise in premises:
+        syms |= symbols(premise)
+    table = _Table(syms, cap)
+    premises_hold = table.mask
+    for premise in premises:
+        premises_hold &= table.of(premise)
+    return premises_hold & ~table.of(phi) == 0
 
 
 # The truth-table oracle as it was before it held one bit per row: every

@@ -22,7 +22,6 @@ from hornsat import (
     equivalent,
     models,
     parse_formula,
-    semantic_consequence,
     symbols,
     to_cnf,
 )
@@ -39,6 +38,7 @@ from helpers import (
     reference_equivalent,
     reference_models,
     reference_semantic_consequence,
+    semantic_consequence,
 )
 
 

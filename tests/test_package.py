@@ -3,6 +3,8 @@ in it, and the README's library example."""
 
 import ast
 import contextlib
+import dataclasses
+import importlib
 import io
 import re
 from pathlib import Path
@@ -65,6 +67,29 @@ def test_every_import_is_used():
         for entry in _unused_imports(ast.parse(path.read_text(encoding="utf-8")))
     ]
     assert unused == []
+
+
+def test_every_dataclass_is_slotted():
+    # A record built without its checked constructor would need
+    # ``object.__new__`` and ``object.__setattr__``; neither may come back.
+    unslotted = []
+    for path in sorted(SOURCE.glob("*.py")):
+        source = path.read_text(encoding="utf-8")
+        for call in ("object.__new__", "object.__setattr__"):
+            if call in source:
+                unslotted.append(f"{path.name} {call}")
+        if path.stem.startswith("__"):
+            continue
+        module = importlib.import_module(f"hornsat.{path.stem}")
+        for value in vars(module).values():
+            if (
+                isinstance(value, type)
+                and value.__module__ == module.__name__
+                and dataclasses.is_dataclass(value)
+                and "__slots__" not in vars(value)
+            ):
+                unslotted.append(f"{path.name} {value.__name__}")
+    assert unslotted == []
 
 
 def test_readme_library_example_runs_as_shown():
@@ -132,7 +157,6 @@ def test_public_names_are_exactly_these():
         "precheck",
         "satisfies",
         "saturate",
-        "semantic_consequence",
         "solve",
         "symbols",
         "to_cnf",
