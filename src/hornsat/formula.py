@@ -100,7 +100,9 @@ class Not:
 
 @_record(init=False)
 class _Binary:
-    """The fields and constructor the four binary connectives share."""
+    """The fields and constructor the four binary connectives share.  The
+    subclasses reuse these two slots: since Python 3.11, a slotted dataclass
+    leaves out the slots its base already has."""
 
     left: "Formula"
     right: "Formula"

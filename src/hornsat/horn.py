@@ -48,8 +48,6 @@ class Top:
     atoms: ClassVar[tuple[str, ...]] = ()
 
 
-# Conj and HornImplication are built once per clause, so their written
-# ``__init__`` stores through the slot descriptors, as Clause does.
 @_record(init=False)
 class Conj:
     """A nonempty conjunction of atoms (symbol names, falsum allowed)."""

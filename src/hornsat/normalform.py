@@ -53,8 +53,6 @@ class ClauseBudgetError(ValueError):
     """CNF conversion would exceed the configured clause budget."""
 
 
-# As for the formula nodes, a written ``__init__`` stores through the slot
-# descriptors: DIMACS parsing and CNF conversion build clauses in bulk.
 @_record(init=False)
 class Literal:
     """A possibly negated atom; ``atom`` is a symbol name or ``BOT``."""
