@@ -13,13 +13,15 @@ for any firing order, and a run over n implications takes at most n
 firings plus one terminal step.
 
 The engine follows the linear-time scheme of Dowling and Gallier without
-rescanning.  Each unfired implication watches one antecedent atom that is
-not yet in the set.  When that atom enters, the implication moves on to
-its next missing atom, and once none is left its input position goes on a
-min-heap.  Since the set only grows, an implication that became fireable
-stays fireable, so the heap's minimum is always the leftmost fireable
-implication in the remaining order.  Every antecedent atom is passed over
-at most once, so a run takes O(total antecedent size + n log n) time.
+rescanning.  Its invariant: an unfired implication's count is the number
+of its antecedent atoms not in the set, one per occurrence, and each such
+atom lists the implications that miss it.  Only consequents can enter the
+set, so counting stops at a missing atom that is none: the count stays
+positive.  When an atom enters, the counts on its list drop by one, and an
+implication whose count reaches zero puts its input position on a
+min-heap.  As the set only grows, the heap's minimum is always the
+leftmost fireable implication.  Every antecedent atom is counted and
+decremented at most once: O(total antecedent size + n log n) time.
 
 A run logs each atom once, in the order it entered the set, and every
 trace step records two prefix lengths into that log.  ``set_before`` and
@@ -149,27 +151,20 @@ def saturate(
         raise ValueError("the start set must contain the verum token")
     log = list(current)
     implications = phi.implications
-    antecedents = [imp.antecedent.atoms for imp in implications]
-    cursors = [0] * len(implications)  # position of each watched atom
-    watchers: dict[str, list[int]] = {}  # atom -> implications watching it
+    missing: list[int] = []  # per implication: antecedent atoms not in the set
+    waiting: dict[str, list[int]] = {imp.consequent: [] for imp in implications}
     fireable: list[int] = []  # a min-heap of input positions
-
-    def watch(index: int) -> None:
-        """Watch the next antecedent atom not yet in the set, or mark the
-        implication fireable when there is none."""
-        atoms = antecedents[index]
-        position = cursors[index]
-        while position < len(atoms):
-            atom = atoms[position]
+    for index, imp in enumerate(implications):
+        count = 0
+        for atom in imp.antecedent.atoms:
             if atom not in current:
-                cursors[index] = position
-                watchers.setdefault(atom, []).append(index)
-                return
-            position += 1
-        heappush(fireable, index)
-
-    for index in range(len(implications)):
-        watch(index)
+                count += 1
+                if atom not in waiting:
+                    break  # never enters the set, so this one never fires
+                waiting[atom].append(index)
+        missing.append(count)
+        if not count:
+            fireable.append(index)  # in ascending order, so already a heap
 
     remaining = len(implications)
     trace: list[TraceStep] = []
@@ -181,8 +176,10 @@ def saturate(
         if consequent not in current:
             current.add(consequent)
             log.append(consequent)
-            for waiting in watchers.pop(consequent, ()):
-                watch(waiting)
+            for waiter in waiting.pop(consequent, ()):
+                missing[waiter] -= 1
+                if not missing[waiter]:
+                    heappush(fireable, waiter)
         trace.append(TraceStep(index, consequent, remaining, log, before, len(log)))
     trace.append(TraceStep(None, None, remaining, log, len(log), len(log)))
     return frozenset(current), tuple(trace)

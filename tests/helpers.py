@@ -41,6 +41,7 @@ from hornsat import (
     Verum,
     enumerate_valuations,
     evaluate,
+    horn_to_formula,
     is_basic_horn,
     symbols,
 )
@@ -118,6 +119,21 @@ def reverse_chain(links: int) -> HornFormula:
     implications = [rule((f"x{k}",), f"x{k + 1}") for k in reversed(range(links))]
     implications.append(unit("x0"))
     return HornFormula(tuple(implications))
+
+
+def long_antecedent(size: int) -> HornFormula:
+    """One implication ``x0 & ... & x<size-1> -> goal``, then the facts
+    ``top -> x<k>`` listed last atom first: one antecedent as long as the
+    whole run."""
+    atoms = tuple(f"x{k}" for k in range(size))
+    return HornFormula((rule(atoms, "goal"), *(unit(atom) for atom in reversed(atoms))))
+
+
+def fan_out(size: int) -> HornFormula:
+    """``x0 -> y0``, ..., ``x0 -> y<size-1>``, then the fact ``top -> x0``:
+    one atom in every antecedent, so its entry makes all the rules fireable
+    at once."""
+    return HornFormula((*(rule(("x0",), f"y{k}") for k in range(size)), unit("x0")))
 
 
 def lit(text: str) -> Literal:
@@ -804,3 +820,38 @@ def planted_horn_dimacs(rng: random.Random, n_vars: int, n_clauses: int) -> tupl
     rng.shuffle(clauses)
     lines = [f"p cnf {n_vars} {len(clauses)}"] + [" ".join(map(str, c)) + " 0" for c in clauses]
     return "\n".join(lines) + "\n", frozenset(f"x{v}" for v in planted)
+
+
+def planted_unsat_dimacs(rng: random.Random, text: str, model: frozenset) -> str:
+    """``text`` and ``model`` from :func:`planted_horn_dimacs` plus one
+    all-negative clause over two planted atoms, which makes it UNSAT."""
+    header, body = text.split("\n", 1)
+    _, _, n_vars, n_clauses = header.split()
+    goal = " ".join(f"-{name[1:]}" for name in rng.sample(sorted(model), min(2, len(model))))
+    return f"p cnf {n_vars} {int(n_clauses) + 1}\n{body}{goal} 0\n"
+
+
+def golden_cli_inputs() -> list[tuple[str, str, bool]]:
+    """The fixed corpus of the golden CLI test: ``(name, text, dimacs)``
+    for 300 seeded inputs.  Horn formula texts, random formula texts
+    (non-Horn and constant-only ones included), small planted Horn DIMACS
+    files with and without one all-negative clause over planted atoms,
+    which makes them UNSAT, and short, sometimes malformed DIMACS texts."""
+    rng = random.Random(2024)
+    inputs = []
+    for k in range(100):
+        names = [f"a{i}" for i in range(rng.randint(1, 8))]
+        horn = random_horn(rng, names, rng.randint(0, 25), bot_consequent_rate=0.08)
+        inputs.append((f"horn-{k:03}", render(horn_to_formula(horn)), False))
+    for k in range(60):
+        phi = random_formula(rng, ("p", "q", "r", "s"), rng.randint(0, 4))
+        inputs.append((f"formula-{k:03}", render(phi), False))
+    for k in range(40):
+        n_vars = rng.randint(4, 40)
+        text, model = planted_horn_dimacs(rng, n_vars, rng.randint(n_vars, 3 * n_vars))
+        inputs.append((f"planted-{k:03}", text, True))
+        inputs.append((f"planted-unsat-{k:03}", planted_unsat_dimacs(rng, text, model), True))
+    for k in range(60):
+        inputs.append((f"dimacs-{k:03}", random_dimacs_text(rng), True))
+    return inputs
+

@@ -1,0 +1,67 @@
+"""The CLI contract on a fixed corpus: every run's exit code, stdout and
+stderr must hash to the digest committed in ``golden_cli_digests.txt``.
+
+Each line of that file is ``input<TAB>command<TAB>sha256``.  Rewriting it
+changes test data: list each changed run and its reason in CHANGES.md.
+Regenerate with ``PYTHONPATH=src python tests/test_golden_cli.py``.
+"""
+
+import contextlib
+import hashlib
+import io
+import json
+import sys
+from pathlib import Path
+
+from hornsat.cli import cli_main
+
+from helpers import golden_cli_inputs
+
+DIGESTS = Path(__file__).with_name("golden_cli_digests.txt")
+COMMANDS = (("solve",), ("trace",), ("trace", "--json"))
+
+
+def run_digest(argv, stdin_text):
+    """Exit code of ``cli_main(argv)`` with ``stdin_text`` on standard
+    input, and the sha256 of that code, stdout and stderr."""
+    stdout, stderr = io.StringIO(), io.StringIO()
+    saved = sys.stdin
+    sys.stdin = io.StringIO(stdin_text)
+    try:
+        with contextlib.redirect_stdout(stdout), contextlib.redirect_stderr(stderr):
+            code = cli_main(argv)
+    finally:
+        sys.stdin = saved
+    payload = json.dumps([code, stdout.getvalue(), stderr.getvalue()])
+    return code, hashlib.sha256(payload.encode("utf-8")).hexdigest()
+
+
+def golden_runs():
+    """Yield ``(input name, command, exit code, digest)`` for every run of
+    the corpus, reading each input from standard input."""
+    for name, text, dimacs in golden_cli_inputs():
+        for command in COMMANDS:
+            argv = [*command, "-", *(("--dimacs",) if dimacs else ())]
+            yield name, " ".join(command), *run_digest(argv, text)
+
+
+def test_cli_output_matches_golden_digests():
+    expected = {}
+    for line in DIGESTS.read_text(encoding="utf-8").splitlines():
+        name, command, digest = line.split("\t")
+        expected[name, command] = digest
+    seen, codes, mismatches = set(), set(), []
+    for name, command, code, digest in golden_runs():
+        seen.add((name, command))
+        codes.add(code)
+        if expected.get((name, command)) != digest:
+            mismatches.append(f"{name}: hornsat {command} (exit {code})")
+    assert not mismatches, "output differs from the golden digest:\n" + "\n".join(mismatches)
+    assert seen == expected.keys()
+    assert codes == {1, 10, 20}
+
+
+if __name__ == "__main__":
+    with DIGESTS.open("w", encoding="utf-8", newline="\n") as handle:
+        for name, command, _, digest in golden_runs():
+            handle.write(f"{name}\t{command}\t{digest}\n")

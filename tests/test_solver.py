@@ -20,8 +20,10 @@ from hornsat import (
     Top,
     classify,
     extract_model,
+    horn_from_clauses,
     horn_to_formula,
     models,
+    parse_dimacs,
     parse_formula,
     precheck,
     satisfies,
@@ -36,6 +38,10 @@ from helpers import (
     GOLDEN_UNSAT,
     SAT_CHAIN_TEXT,
     antecedent_atoms,
+    fan_out,
+    long_antecedent,
+    planted_horn_dimacs,
+    planted_unsat_dimacs,
     random_horn,
     reference_saturate,
     reverse_chain,
@@ -96,6 +102,18 @@ def test_saturate_matches_leftmost_rescan_on_longer_runs():
         horn = random_horn(rng, "pqrstu", rng.randint(0, 30), bot_antecedent_rate=0.2)
         start = frozenset((TOP, *rng.sample("pqrstu", rng.randint(0, 2))))
         assert_same_run(horn, start, early_stop=rng.random() < 0.5)
+
+
+def test_saturate_matches_leftmost_rescan_at_benchmark_size():
+    rng = random.Random(400)
+    horns = [fan_out(300)]
+    for _ in range(10):
+        text, model = planted_horn_dimacs(rng, 200, 400)
+        horns.append(horn_from_clauses(parse_dimacs(text)))
+        horns.append(horn_from_clauses(parse_dimacs(planted_unsat_dimacs(rng, text, model))))
+    for horn in horns:
+        for early_stop in (False, True):
+            assert_same_run(horn, frozenset((TOP,)), early_stop)
 
 
 def test_saturate_full_chain():
@@ -279,9 +297,18 @@ def test_solver_matches_oracle_on_sixteen_symbols():
     assert time.perf_counter() - start < 10.0
 
 
-def test_reverse_chain_scales_linearly():
+@pytest.mark.parametrize(
+    "shape, first_fired",
+    [
+        (reverse_chain, [100_000, 99_999, 99_998]),
+        (long_antecedent, [1, 2, 3]),
+        (fan_out, [100_000, 0, 1]),
+    ],
+    ids=["reverse_chain", "long_antecedent", "fan_out"],
+)
+def test_reverse_chain_scales_linearly(shape, first_fired):
     links = 100_000
-    horn = reverse_chain(links)
+    horn = shape(links)
     started = time.perf_counter()
     outcome = solve(horn)
     elapsed = time.perf_counter() - started
@@ -294,7 +321,7 @@ def test_reverse_chain_scales_linearly():
     assert outcome.satisfiable
     assert len(outcome.final_set) == links + 2
     assert outcome.steps == links + 2
-    assert [step.fired_index for step in outcome.trace[:3]] == [links, links - 1, links - 2]
+    assert [step.fired_index for step in outcome.trace[:3]] == first_fired
     assert elapsed < 10.0
     assert peak < 200 * 2**20
 
