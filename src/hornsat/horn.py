@@ -55,7 +55,9 @@ class Conj:
     atoms: tuple[str, ...]
 
     def __init__(self, atoms: Iterable[str]) -> None:
-        deduped = tuple(dict.fromkeys(atoms))
+        deduped = tuple(atoms)
+        if len(set(deduped)) < len(deduped):
+            deduped = tuple(dict.fromkeys(deduped))
         if not deduped:
             raise ValueError("empty antecedent conjunction; use Top() instead")
         if TOP in deduped:

@@ -207,7 +207,9 @@ def parse_dimacs(text: str) -> CnfFormula:
                 raise DimacsError(f"line {line_no}: bad literal token {field!r}") from None
             if value == 0:
                 if pending:
-                    clauses.append(Clause(tuple(map(literal_of, dict.fromkeys(pending)))))
+                    if len(set(pending)) < len(pending):
+                        pending = dict.fromkeys(pending)
+                    clauses.append(Clause(tuple(map(literal_of, pending))))
                     pending = []
                 else:
                     clauses.append(Clause((BOT_LITERAL,)))

@@ -831,12 +831,35 @@ def planted_unsat_dimacs(rng: random.Random, text: str, model: frozenset) -> str
     return f"p cnf {n_vars} {int(n_clauses) + 1}\n{body}{goal} 0\n"
 
 
+def repeated_literal_text(rng: random.Random) -> str:
+    """A negated conjunction of two or three short disjunctions over two or
+    three overlapping names, such as ``~((a | b) & (a | c))``, so that the
+    product repeats literals within a clause; leaves are sometimes
+    negated, ``false`` or ``true``, and some of the names may follow as
+    facts."""
+    names = rng.sample(("a", "b", "c"), rng.randint(2, 3))
+
+    def leaf() -> str:
+        roll = rng.random()
+        if roll < 0.12:
+            return "false"
+        if roll < 0.2:
+            return "true"
+        name = rng.choice(names)
+        return name if roll < 0.85 else "~" + name
+
+    disjunctions = (" | ".join(leaf() for _ in range(rng.randint(1, 3))) for _ in range(rng.randint(2, 3)))
+    negated = "~(" + " & ".join(f"({d})" for d in disjunctions) + ")"
+    return " & ".join([negated, *rng.sample(names, rng.randint(0, len(names)))])
+
+
 def golden_cli_inputs() -> list[tuple[str, str, bool]]:
     """The fixed corpus of the golden CLI test: ``(name, text, dimacs)``
-    for 300 seeded inputs.  Horn formula texts, random formula texts
+    for 340 seeded inputs.  Horn formula texts, random formula texts
     (non-Horn and constant-only ones included), small planted Horn DIMACS
     files with and without one all-negative clause over planted atoms,
-    which makes them UNSAT, and short, sometimes malformed DIMACS texts."""
+    which makes them UNSAT, short, sometimes malformed DIMACS texts, and
+    formula texts whose clauses repeat a literal."""
     rng = random.Random(2024)
     inputs = []
     for k in range(100):
@@ -853,5 +876,7 @@ def golden_cli_inputs() -> list[tuple[str, str, bool]]:
         inputs.append((f"planted-unsat-{k:03}", planted_unsat_dimacs(rng, text, model), True))
     for k in range(60):
         inputs.append((f"dimacs-{k:03}", random_dimacs_text(rng), True))
+    for k in range(40):
+        inputs.append((f"repeat-{k:03}", repeated_literal_text(rng), False))
     return inputs
 

@@ -3,7 +3,9 @@ stderr must hash to the digest committed in ``golden_cli_digests.txt``.
 
 Each line of that file is ``input<TAB>command<TAB>sha256``.  Rewriting it
 changes test data: list each changed run and its reason in CHANGES.md.
-Regenerate with ``PYTHONPATH=src python tests/test_golden_cli.py``.
+Regenerate with ``PYTHONPATH=src python tests/test_golden_cli.py``, which
+prints the added, removed and changed ``input<TAB>command`` keys against
+the file it replaces.
 """
 
 import contextlib
@@ -18,7 +20,7 @@ from hornsat.cli import cli_main
 from helpers import golden_cli_inputs
 
 DIGESTS = Path(__file__).with_name("golden_cli_digests.txt")
-COMMANDS = (("solve",), ("trace",), ("trace", "--json"))
+COMMANDS = (("solve",), ("solve", "--no-precheck"), ("trace",), ("trace", "--json"), ("convert",))
 
 
 def run_digest(argv, stdin_text):
@@ -45,11 +47,17 @@ def golden_runs():
             yield name, " ".join(command), *run_digest(argv, text)
 
 
-def test_cli_output_matches_golden_digests():
+def committed_digests():
+    """The committed digest of each ``(input name, command)``."""
     expected = {}
     for line in DIGESTS.read_text(encoding="utf-8").splitlines():
         name, command, digest = line.split("\t")
         expected[name, command] = digest
+    return expected
+
+
+def test_cli_output_matches_golden_digests():
+    expected = committed_digests()
     seen, codes, mismatches = set(), set(), []
     for name, command, code, digest in golden_runs():
         seen.add((name, command))
@@ -58,10 +66,20 @@ def test_cli_output_matches_golden_digests():
             mismatches.append(f"{name}: hornsat {command} (exit {code})")
     assert not mismatches, "output differs from the golden digest:\n" + "\n".join(mismatches)
     assert seen == expected.keys()
-    assert codes == {1, 10, 20}
+    assert codes == {0, 1, 10, 20}
 
 
 if __name__ == "__main__":
+    old = committed_digests() if DIGESTS.exists() else {}
+    new = {(name, command): digest for name, command, _, digest in golden_runs()}
+    changes = {
+        "added": new.keys() - old.keys(),
+        "removed": old.keys() - new.keys(),
+        "changed": {key for key in new.keys() & old.keys() if new[key] != old[key]},
+    }
+    for label, keys in changes.items():
+        for name, command in sorted(keys):
+            print(f"{label}\t{name}\t{command}")
     with DIGESTS.open("w", encoding="utf-8", newline="\n") as handle:
-        for name, command, _, digest in golden_runs():
+        for (name, command), digest in new.items():
             handle.write(f"{name}\t{command}\t{digest}\n")

@@ -140,6 +140,24 @@ def test_conj_deduplicates_and_rejects_verum():
         Conj((TOP,))
 
 
+_ATOM_NAMES = st.sampled_from(("p", "q", "r", BOT))
+
+
+@given(st.one_of(st.lists(_ATOM_NAMES, min_size=1), st.lists(_ATOM_NAMES, min_size=1, unique=True)))
+def test_conj_keeps_the_first_of_each_atom(atoms):
+    assert Conj(atoms).atoms == tuple(dict.fromkeys(atoms))
+
+
+@given(st.lists(_ATOM_NAMES), st.data())
+def test_conj_rejects_empty_and_verum_input(atoms, data):
+    if not atoms:
+        with pytest.raises(ValueError, match=r"^empty antecedent conjunction; use Top\(\) instead$"):
+            Conj(atoms)
+    atoms.insert(data.draw(st.integers(0, len(atoms))), TOP)
+    with pytest.raises(ValueError, match="^verum cannot occur inside an antecedent conjunction$"):
+        Conj(atoms)
+
+
 def test_consequent_must_be_positive():
     with pytest.raises(ValueError):
         HornImplication(Top(), TOP)

@@ -67,6 +67,15 @@ def test_duplicate_and_falsum_literals_are_dropped():
     assert to_cnf(parse_formula("p | p")).clauses == (clause("p"),)
     assert to_cnf(parse_formula("p | false")).clauses == (clause("p"),)
     assert to_cnf(parse_formula("false | false")).clauses == (clause("bot"),)
+    assert to_cnf(parse_formula("p | false | p")).clauses == (clause("p"),)
+    assert to_cnf(parse_formula("false | p | p")).clauses == (clause("p"),)
+    assert to_cnf(parse_formula("p | ~false")).clauses == (clause("top"),)
+    assert to_cnf(parse_formula("~((a | b) & (a | c))")).clauses == (
+        clause("~a"),
+        clause("~a", "~c"),
+        clause("~b", "~a"),
+        clause("~b", "~c"),
+    )
 
 
 def test_complementary_pairs_are_kept():
