@@ -853,13 +853,35 @@ def repeated_literal_text(rng: random.Random) -> str:
     return " & ".join([negated, *rng.sample(names, rng.randint(0, len(names)))])
 
 
+# Every other spelling the lexer accepts for each ASCII token that
+# ``render`` writes.
+_RESPELLINGS = {
+    "<->": ("↔",),
+    "->": ("→",),
+    "|": ("∨", "\\/"),
+    "&": ("∧", "/\\"),
+    "~": ("¬", "!"),
+    "false": ("⊥", "bot"),
+    "true": ("⊤", "top"),
+}
+_RENDERED_TOKEN_RE = re.compile(r"<->|->|[|&~]|\b(?:false|true)\b")
+
+
+def respelled(rng: random.Random, text: str) -> str:
+    """``text`` as ``render`` writes it, with each operator and constant
+    replaced by one of its other spellings, drawn per occurrence."""
+    return _RENDERED_TOKEN_RE.sub(lambda match: rng.choice(_RESPELLINGS[match.group()]), text)
+
+
 def golden_cli_inputs() -> list[tuple[str, str, bool]]:
     """The fixed corpus of the golden CLI test: ``(name, text, dimacs)``
-    for 340 seeded inputs.  Horn formula texts, random formula texts
+    for 370 seeded inputs.  Horn formula texts, random formula texts
     (non-Horn and constant-only ones included), small planted Horn DIMACS
     files with and without one all-negative clause over planted atoms,
-    which makes them UNSAT, short, sometimes malformed DIMACS texts, and
-    formula texts whose clauses repeat a literal."""
+    which makes them UNSAT, short, sometimes malformed DIMACS texts,
+    formula texts whose clauses repeat a literal, and 20 of the Horn texts
+    and 10 of the random ones with ``<->`` spelled with the other
+    operators."""
     rng = random.Random(2024)
     inputs = []
     for k in range(100):
@@ -878,5 +900,9 @@ def golden_cli_inputs() -> list[tuple[str, str, bool]]:
         inputs.append((f"dimacs-{k:03}", random_dimacs_text(rng), True))
     for k in range(40):
         inputs.append((f"repeat-{k:03}", repeated_literal_text(rng), False))
+    with_iff = [k for k in range(100, 160) if "<->" in inputs[k][1]]
+    chosen = rng.sample(range(100), 20) + rng.sample(with_iff, 10)
+    for k, index in enumerate(chosen):
+        inputs.append((f"spelled-{k:03}", respelled(rng, inputs[index][1]), False))
     return inputs
 

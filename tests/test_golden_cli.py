@@ -3,6 +3,8 @@ stderr must hash to the digest committed in ``golden_cli_digests.txt``.
 
 Each line of that file is ``input<TAB>command<TAB>sha256``.  Rewriting it
 changes test data: list each changed run and its reason in CHANGES.md.
+Usage errors are checked by exit code only, since argparse's usage text
+changes between Python versions.
 Regenerate with ``PYTHONPATH=src python tests/test_golden_cli.py``, which
 prints the added, removed and changed ``input<TAB>command`` keys against
 the file it replaces.
@@ -21,6 +23,15 @@ from helpers import golden_cli_inputs
 
 DIGESTS = Path(__file__).with_name("golden_cli_digests.txt")
 COMMANDS = (("solve",), ("solve", "--no-precheck"), ("trace",), ("trace", "--json"), ("convert",))
+# Run on formula texts only; the two limits make some runs fail with exit 1.
+FORMULA_COMMANDS = (("classify",), ("solve", "--max-clauses", "8"), ("classify", "--max-symbols", "3"))
+USAGE_ERRORS = (
+    ("solve", "-", "--max-clauses", "-1"),
+    ("classify", "-", "--max-symbols", "x"),
+    ("classify", "-", "--dimacs"),
+    ("check", "-"),
+    ("solve",),
+)
 
 
 def run_digest(argv, stdin_text):
@@ -38,11 +49,22 @@ def run_digest(argv, stdin_text):
     return code, hashlib.sha256(payload.encode("utf-8")).hexdigest()
 
 
+def usage_exit_code(argv):
+    """The code that ``cli_main(argv)`` exits with through argparse, its
+    usage text discarded; None if it returns instead."""
+    with contextlib.redirect_stderr(io.StringIO()):
+        try:
+            cli_main(argv)
+        except SystemExit as exc:
+            return exc.code
+    return None
+
+
 def golden_runs():
     """Yield ``(input name, command, exit code, digest)`` for every run of
     the corpus, reading each input from standard input."""
     for name, text, dimacs in golden_cli_inputs():
-        for command in COMMANDS:
+        for command in COMMANDS if dimacs else COMMANDS + FORMULA_COMMANDS:
             argv = [*command, "-", *(("--dimacs",) if dimacs else ())]
             yield name, " ".join(command), *run_digest(argv, text)
 
@@ -66,7 +88,11 @@ def test_cli_output_matches_golden_digests():
             mismatches.append(f"{name}: hornsat {command} (exit {code})")
     assert not mismatches, "output differs from the golden digest:\n" + "\n".join(mismatches)
     assert seen == expected.keys()
-    assert codes == {0, 1, 10, 20}
+    for argv in USAGE_ERRORS:
+        code = usage_exit_code(argv)
+        assert code == 2, f"hornsat {' '.join(argv)} exited with {code}"
+        codes.add(code)
+    assert codes == {0, 1, 2, 10, 20}
 
 
 if __name__ == "__main__":
