@@ -4,7 +4,8 @@ A clause with at most one positive literal can always be written as an
 implication whose antecedent is a conjunction of atoms and whose
 consequent is a single atom (falsum included on both sides).  Verum is
 the empty conjunction: :class:`Top` has no atoms, so every reader takes
-an antecedent's ``atoms`` without asking which kind it is.  A Horn
+an antecedent's ``atoms`` without asking which kind it is.  Antecedents
+keep their clause's negative atoms in order, repeats included.  A Horn
 formula is an ordered conjunction of such implications.
 """
 
@@ -50,19 +51,17 @@ class Top:
 
 @_record(init=False)
 class Conj:
-    """A nonempty conjunction of atoms (symbol names, falsum allowed)."""
+    """A nonempty conjunction of atoms (names or falsum), repeats kept."""
 
     atoms: tuple[str, ...]
 
     def __init__(self, atoms: Iterable[str]) -> None:
-        deduped = tuple(atoms)
-        if len(set(deduped)) < len(deduped):
-            deduped = tuple(dict.fromkeys(deduped))
-        if not deduped:
+        atoms = tuple(atoms)
+        if not atoms:
             raise ValueError("empty antecedent conjunction; use Top() instead")
-        if TOP in deduped:
+        if TOP in atoms:
             raise ValueError("verum cannot occur inside an antecedent conjunction")
-        Conj.atoms.__set__(self, deduped)
+        Conj.atoms.__set__(self, atoms)
 
 
 Antecedent = Union[Top, Conj]
@@ -126,8 +125,8 @@ def horn_from_clauses(cnf: CnfFormula) -> HornFormula:
     :class:`NotHornError` with the position (in ``cnf``) of the first
     clause that has two or more positive literals.
 
-    Each clause is read once: its positive atoms and its negative atoms
-    are collected until a verum literal (negative falsum) drops it.
+    Each clause is read once and taken as it is, repeats included: its
+    positive and negative atoms are collected until a verum literal drops it.
     """
     implications: list[HornImplication] = []
     for index, clause in enumerate(cnf.clauses):

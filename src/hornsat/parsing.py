@@ -207,7 +207,7 @@ def parse_dimacs(text: str) -> CnfFormula:
                 raise DimacsError(f"line {line_no}: bad literal token {field!r}") from None
             if value == 0:
                 if pending:
-                    if len(set(pending)) < len(pending):
+                    if len(set(pending)) < len(pending):  # cheaper than a dict per clause
                         pending = dict.fromkeys(pending)
                     clauses.append(Clause(tuple(map(literal_of, pending))))
                     pending = []

@@ -121,6 +121,15 @@ def reverse_chain(links: int) -> HornFormula:
     return HornFormula(tuple(implications))
 
 
+def doubled_chain(links: int) -> HornFormula:
+    """:func:`reverse_chain` with every link naming its atom twice,
+    ``x<k> & x<k> -> x<k+1>``: each link waits on two occurrences of one
+    atom, and its count drops by two when that atom enters."""
+    implications = [rule((f"x{k}", f"x{k}"), f"x{k + 1}") for k in reversed(range(links))]
+    implications.append(unit("x0"))
+    return HornFormula(tuple(implications))
+
+
 def long_antecedent(size: int) -> HornFormula:
     """One implication ``x0 & ... & x<size-1> -> goal``, then the facts
     ``top -> x<k>`` listed last atom first: one antecedent as long as the

@@ -96,13 +96,13 @@ def test_records_equal_their_duplicates(record, duplicate):
 def test_keyword_construction():
     assert Literal(atom="p", positive=False) == Literal("p", False)
     assert Literal(atom="p").positive is True
-    assert Conj(atoms=("a", "a")).atoms == ("a",)
+    assert Conj(atoms=("a", "a")).atoms == ("a", "a")
     assert Atom(name="p") == P
     assert Not(operand=P) == Not(P)
     assert Or(left=P, right=Q) == Or(P, Q) != And(P, Q)
     assert Clause(literals=(Literal("p"),)).literals == (Literal("p"),)
     assert HornImplication(antecedent=Top(), consequent="q") == HornImplication(Top(), "q")
-    assert dataclasses.replace(Conj(("a", "b")), atoms=("c", "c")).atoms == ("c",)
+    assert dataclasses.replace(Conj(("a", "b")), atoms=("c", "c")).atoms == ("c", "c")
     assert dataclasses.replace(Literal("p"), positive=False) == Literal("p", False)
 
 

@@ -38,6 +38,7 @@ from helpers import (
     GOLDEN_UNSAT,
     SAT_CHAIN_TEXT,
     antecedent_atoms,
+    doubled_chain,
     fan_out,
     long_antecedent,
     planted_horn_dimacs,
@@ -92,6 +93,11 @@ def assert_same_run(horn, start, early_stop):
     early_stop=False,
 )
 @example(implications=[], extra={BOT}, early_stop=True)
+# An antecedent that repeats an atom counts each occurrence.
+@example(implications=[unit("p"), rule(("p", "p"), "q")], extra=set(), early_stop=False)
+@example(implications=[unit("p"), rule(("s", "s", "p"), "q")], extra=set(), early_stop=False)
+@example(implications=[unit(BOT), rule((BOT, BOT), "r")], extra=set(), early_stop=False)
+@example(implications=[unit(BOT), rule((BOT, BOT), "r")], extra=set(), early_stop=True)
 def test_saturate_matches_leftmost_rescan(implications, extra, early_stop):
     assert_same_run(HornFormula(tuple(implications)), frozenset({TOP} | extra), early_stop)
 
@@ -303,8 +309,9 @@ def test_solver_matches_oracle_on_sixteen_symbols():
         (reverse_chain, [100_000, 99_999, 99_998]),
         (long_antecedent, [1, 2, 3]),
         (fan_out, [100_000, 0, 1]),
+        (doubled_chain, [100_000, 99_999, 99_998]),
     ],
-    ids=["reverse_chain", "long_antecedent", "fan_out"],
+    ids=["reverse_chain", "long_antecedent", "fan_out", "doubled_chain"],
 )
 def test_reverse_chain_scales_linearly(shape, first_fired):
     links = 100_000
