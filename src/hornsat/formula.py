@@ -74,8 +74,9 @@ class Verum:
 
 
 # The nodes that parsing and CNF conversion build in bulk take a written
-# ``__init__`` that stores each field through its slot descriptor, which
-# costs less than the generic call per field of a generated frozen one.
+# ``__init__`` that stores each field through its slot descriptor's setter,
+# bound once below each class, which costs less than the generic call per
+# field of a generated frozen one.
 @_record(init=False)
 class Atom:
     """A propositional symbol; two atoms are equal iff their names are."""
@@ -87,7 +88,10 @@ class Atom:
             raise ValueError(f"invalid atom name {name!r}")
         if name in _RESERVED:
             raise ValueError(f"{name!r} is a reserved constant, not an atom name")
-        Atom.name.__set__(self, name)
+        _set_atom_name(self, name)
+
+
+_set_atom_name = Atom.name.__set__
 
 
 @_record(init=False)
@@ -95,7 +99,10 @@ class Not:
     operand: "Formula"
 
     def __init__(self, operand: Formula) -> None:
-        Not.operand.__set__(self, operand)
+        _set_not_operand(self, operand)
+
+
+_set_not_operand = Not.operand.__set__
 
 
 @_record(init=False)
@@ -108,8 +115,11 @@ class _Binary:
     right: "Formula"
 
     def __init__(self, left: Formula, right: Formula) -> None:
-        _Binary.left.__set__(self, left)
-        _Binary.right.__set__(self, right)
+        _set_left(self, left)
+        _set_right(self, right)
+
+
+_set_left, _set_right = _Binary.left.__set__, _Binary.right.__set__
 
 
 @_record(init=False)

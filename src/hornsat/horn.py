@@ -34,7 +34,7 @@ __all__ = [
 
 
 class NotHornError(ValueError):
-    """Some clause has two or more positive literals."""
+    """Some clause has two or more distinct positive literals."""
 
     def __init__(self, index: int, clause: Clause):
         self.index = index
@@ -61,8 +61,10 @@ class Conj:
             raise ValueError("empty antecedent conjunction; use Top() instead")
         if TOP in atoms:
             raise ValueError("verum cannot occur inside an antecedent conjunction")
-        Conj.atoms.__set__(self, atoms)
+        _set_conj_atoms(self, atoms)
 
+
+_set_conj_atoms = Conj.atoms.__set__
 
 Antecedent = Union[Top, Conj]
 
@@ -75,8 +77,12 @@ class HornImplication:
     def __init__(self, antecedent: Antecedent, consequent: str) -> None:
         if consequent == TOP:
             raise ValueError("consequents are positive literals; verum is not one")
-        HornImplication.antecedent.__set__(self, antecedent)
-        HornImplication.consequent.__set__(self, consequent)
+        _set_antecedent(self, antecedent)
+        _set_consequent(self, consequent)
+
+
+_set_antecedent = HornImplication.antecedent.__set__
+_set_consequent = HornImplication.consequent.__set__
 
 
 @_record()
@@ -95,8 +101,9 @@ class HornFormula:
 
 
 def is_basic_horn(clause: Clause) -> bool:
-    """True iff at most one literal of the clause occurs positively."""
-    return sum(1 for lit in clause.literals if lit.positive) <= 1
+    """True iff at most one atom of the clause occurs positively; a
+    repeated positive literal counts once."""
+    return len({lit.atom for lit in clause.literals if lit.positive}) <= 1
 
 
 def basic_to_implication(clause: Clause) -> HornImplication:
@@ -106,7 +113,8 @@ def basic_to_implication(clause: Clause) -> HornImplication:
     clauses become ``conjunction -> false``; negatives plus one positive
     become ``conjunction -> L``.  Clauses containing the verum literal are
     rejected: the caller must drop valid clauses first.  A clause with two
-    or more positive literals raises :class:`NotHornError` (index 0).
+    or more distinct positive literals raises :class:`NotHornError`
+    (index 0).
     """
     if TOP_LITERAL in clause.literals:
         raise ValueError("clause contains the verum literal; drop valid clauses first")
@@ -123,10 +131,12 @@ def horn_from_clauses(cnf: CnfFormula) -> HornFormula:
     Clauses containing the verum literal are valid conjuncts and are
     dropped first; removal preserves equivalence.  Raises
     :class:`NotHornError` with the position (in ``cnf``) of the first
-    clause that has two or more positive literals.
+    clause that has two or more distinct positive literals; a repeated
+    positive literal counts once, as it does in :func:`to_cnf`.
 
-    Each clause is read once and taken as it is, repeats included: its
-    positive and negative atoms are collected until a verum literal drops it.
+    Each clause is read once and its negative atoms are taken as they are,
+    repeats included: its positive and negative atoms are collected until
+    a verum literal drops it.
     """
     implications: list[HornImplication] = []
     for index, clause in enumerate(cnf.clauses):
@@ -140,7 +150,7 @@ def horn_from_clauses(cnf: CnfFormula) -> HornFormula:
             else:
                 negatives.append(lit.atom)
         else:
-            if len(positives) > 1:
+            if len(positives) > 1 and len(set(positives)) > 1:
                 raise NotHornError(index, clause)
             implications.append(
                 HornImplication(

@@ -65,12 +65,15 @@ class Literal:
             raise ValueError("verum is not atomic; use the negative falsum literal")
         if not atom:
             raise ValueError("literal atom must be nonempty")
-        Literal.atom.__set__(self, atom)
-        Literal.positive.__set__(self, positive)
+        _set_literal_atom(self, atom)
+        _set_literal_positive(self, positive)
 
     def to_formula(self) -> Formula:
         base = _token_formula(self.atom)
         return base if self.positive else Not(base)
+
+
+_set_literal_atom, _set_literal_positive = Literal.atom.__set__, Literal.positive.__set__
 
 
 BOT_LITERAL = Literal(BOT, positive=True)
@@ -86,7 +89,7 @@ class Clause:
     def __init__(self, literals: tuple[Literal, ...]) -> None:
         if not literals:
             raise ValueError("clauses are nonempty; the empty clause is (bot)")
-        Clause.literals.__set__(self, literals)
+        _set_clause_literals(self, literals)
 
     def evaluate(self, valuation: Valuation) -> int:
         for lit in self.literals:
@@ -99,6 +102,9 @@ class Clause:
 
     def to_formula(self) -> Formula:
         return _join(Or, map(Literal.to_formula, self.literals), Falsum())
+
+
+_set_clause_literals = Clause.literals.__set__
 
 
 @_record()

@@ -10,6 +10,11 @@ expression, then builds the tree in one loop over an operator stack and an
 operand stack, so nesting depth is bounded only by memory.  Positions are
 worked out only for an error: line and column of the failing lexeme, or of
 the first character in the text that starts no token.
+
+:func:`parse_dimacs` sorts the lines in one loop, converts the clause
+tokens of the whole file in one ``map(int, ...)`` and checks their range
+with one ``max`` and one ``min``; it too works out line numbers only for an
+error, by reading the lines again.
 """
 
 from __future__ import annotations
@@ -176,53 +181,92 @@ def parse_dimacs(text: str) -> CnfFormula:
     ``c``.  The header is ``p cnf VARS CLAUSES`` with two non-negative
     ints.  Raises :class:`DimacsError` on a malformed header, a literal
     outside the declared range, or a clause without its 0 terminator.
+
+    One loop sorts the lines and gathers the clause tokens; one ``int``
+    conversion and one range check then cover the whole file, and the
+    clauses are cut at the zeros.  Line numbers are worked out only for an
+    error, by reading the lines again (:func:`_dimacs_error`).
     """
     declared_vars: int | None = None
-    clauses: list[Clause] = []
-    # One Literal per signed variable, checked when first seen.
-    literals: dict[int, Literal] = {}
+    data: list[str] = []
+    keep = data.append
+    for line in text.splitlines():
+        stripped = line.strip()
+        if stripped and stripped[0] not in "cp":  # neither blank, a comment nor a header
+            keep(stripped)
+        elif stripped.startswith("p"):
+            if data or declared_vars is not None or (declared_vars := _declared_vars(stripped)) < 0:
+                raise _dimacs_error(text)
+    if declared_vars is None:
+        raise _dimacs_error(text)
+    tokens = " ".join(data).split()
+    try:
+        values = list(map(int, tokens))
+    except ValueError:
+        raise _dimacs_error(text) from None
+    del tokens  # kept beside the clauses, the strings would set the peak memory
+    if values and (max(values) > declared_vars or min(values) < -declared_vars):
+        raise _dimacs_error(text)
+    # One Literal per signed variable.
+    literals = {value: Literal(f"x{abs(value)}", value > 0) for value in set(values) if value}
     literal_of = literals.__getitem__
-    pending: list[int] = []
+    clauses: list[Clause] = []
+    find_zero = values.index
+    start = 0
+    for _ in range(values.count(0)):
+        end = find_zero(0, start)
+        if end == start:
+            clauses.append(Clause((BOT_LITERAL,)))
+        else:
+            pending = values[start:end]
+            if len(set(pending)) < len(pending):  # cheaper than a dict per clause
+                pending = dict.fromkeys(pending)
+            clauses.append(Clause(tuple(map(literal_of, pending))))
+        start = end + 1
+    if start < len(values):
+        raise _dimacs_error(text)
+    return CnfFormula(tuple(clauses))
+
+
+def _declared_vars(header: str) -> int:
+    """The variable count of a ``p cnf VARS CLAUSES`` header, or -1 for any
+    other line."""
+    fields = header.split()
+    try:
+        declared_vars, declared_clauses = map(int, fields[2:])
+    except ValueError:  # not exactly two ints
+        return -1
+    if fields[:2] != ["p", "cnf"] or min(declared_vars, declared_clauses) < 0:
+        return -1
+    return declared_vars
+
+
+def _dimacs_error(text: str) -> DimacsError:
+    """The error :func:`parse_dimacs` raises for ``text``, which has one:
+    the first in reading order, with its line number."""
+    declared_vars: int | None = None
     for line_no, line in enumerate(text.splitlines(), start=1):
         stripped = line.strip()
         if not stripped or stripped.startswith("c"):
             continue
         if stripped.startswith("p"):
             if declared_vars is not None:
-                raise DimacsError(f"line {line_no}: duplicate header")
-            fields = stripped.split()
-            try:
-                declared_vars, declared_clauses = map(int, fields[2:])
-            except ValueError:  # not exactly two ints
-                declared_vars = declared_clauses = -1
-            if fields[:2] != ["p", "cnf"] or min(declared_vars, declared_clauses) < 0:
-                raise DimacsError(f"line {line_no}: malformed header {stripped!r}")
+                return DimacsError(f"line {line_no}: duplicate header")
+            declared_vars = _declared_vars(stripped)
+            if declared_vars < 0:
+                return DimacsError(f"line {line_no}: malformed header {stripped!r}")
             continue
         if declared_vars is None:
-            raise DimacsError(f"line {line_no}: clause data before the header")
+            return DimacsError(f"line {line_no}: clause data before the header")
         for field in stripped.split():
             try:
                 value = int(field)
             except ValueError:
-                raise DimacsError(f"line {line_no}: bad literal token {field!r}") from None
-            if value == 0:
-                if pending:
-                    if len(set(pending)) < len(pending):  # cheaper than a dict per clause
-                        pending = dict.fromkeys(pending)
-                    clauses.append(Clause(tuple(map(literal_of, pending))))
-                    pending = []
-                else:
-                    clauses.append(Clause((BOT_LITERAL,)))
-                continue
-            if value not in literals:
-                if abs(value) > declared_vars:
-                    raise DimacsError(
-                        f"line {line_no}: literal {value} out of range (1..{declared_vars})"
-                    )
-                literals[value] = Literal(f"x{abs(value)}", positive=value > 0)
-            pending.append(value)
+                return DimacsError(f"line {line_no}: bad literal token {field!r}")
+            if abs(value) > declared_vars:
+                return DimacsError(
+                    f"line {line_no}: literal {value} out of range (1..{declared_vars})"
+                )
     if declared_vars is None:
-        raise DimacsError("missing header")
-    if pending:
-        raise DimacsError("missing 0 terminator on the last clause")
-    return CnfFormula(tuple(clauses))
+        return DimacsError("missing header")
+    return DimacsError("missing 0 terminator on the last clause")

@@ -732,11 +732,12 @@ def reference_parse_dimacs(text: str) -> CnfFormula:
 
 
 # ``basic_to_implication`` as it was before it became one call to
-# ``horn_from_clauses``, so that neither reference calls the code under test.
+# ``horn_from_clauses``, so that neither reference calls the code under test,
+# with one change on top: a repeated positive literal counts once.
 def reference_basic_to_implication(clause: Clause) -> HornImplication:
     if TOP_LITERAL in clause.literals:
         raise ValueError("clause contains the verum literal; drop valid clauses first")
-    positives = [lit.atom for lit in clause.literals if lit.positive]
+    positives = list(dict.fromkeys(lit.atom for lit in clause.literals if lit.positive))
     negatives = [lit.atom for lit in clause.literals if not lit.positive]
     if len(positives) > 1:
         raise ValueError("not a basic Horn clause: more than one positive literal")

@@ -121,6 +121,19 @@ def test_non_horn_reports_first_offending_clause():
     assert excinfo.value.index == 1
 
 
+def test_repeated_positive_literal_counts_once():
+    doubled = Clause((Literal("p"), Literal("p")))
+    assert is_basic_horn(doubled)
+    assert horn_from_clauses(_cnf(doubled)) == horn_from_formula(parse_formula("p | p"))
+    assert horn_from_clauses(_cnf(doubled)).implications == (unit("p"),)
+    assert basic_to_implication(clause("~q", "p", "~r", "p")) == rule(("q", "r"), "p")
+    assert not is_basic_horn(clause("p", "p", "q"))
+    with pytest.raises(NotHornError) as excinfo:
+        horn_from_clauses(_cnf(clause("q"), doubled, clause("p", "~r", "p", "q")))
+    assert excinfo.value.index == 2
+    assert str(excinfo.value) == "clause 2 has more than one positive literal"
+
+
 def test_all_clauses_dropped_yields_trivially_true():
     horn = horn_from_formula(parse_formula("true & (p | true)"))
     assert horn.n == 0
@@ -242,6 +255,7 @@ def _cnf(*clauses):
 @example(_cnf(clause("p"), clause("bot", "p")))
 @example(_cnf(clause("bot"), clause("~bot", "~p")))
 @example(_cnf(clause("~p", "q", "~p", "~r", "~q")))
+@example(_cnf(clause("q", "~p", "q"), clause("p", "p", "q")))
 def test_horn_from_clauses_matches_reference(cnf):
     assert outcome(horn_from_clauses, cnf) == outcome(reference_horn_from_clauses, cnf)
 

@@ -92,6 +92,22 @@ def test_every_dataclass_is_slotted():
     assert unslotted == []
 
 
+def test_slot_setters_are_bound_once():
+    # A checked constructor stores through a setter bound at module level;
+    # ``Cls.field.__set__`` inside a function looks the setter up per call.
+    lookups = [
+        f"{path.name}:{node.lineno} {function.name}"
+        for path in sorted(SOURCE.glob("*.py"))
+        for function in ast.walk(ast.parse(path.read_text(encoding="utf-8")))
+        if isinstance(function, (ast.FunctionDef, ast.AsyncFunctionDef))
+        for node in ast.walk(function)
+        if isinstance(node, ast.Attribute)
+        and node.attr == "__set__"
+        and isinstance(node.value, ast.Attribute)
+    ]
+    assert lookups == []
+
+
 def test_readme_library_example_runs_as_shown():
     (block,) = re.findall(r"```python\n(.*?)```", README.read_text(encoding="utf-8"), re.S)
     out = io.StringIO()

@@ -309,10 +309,17 @@ def test_parse_dimacs_drops_repeated_literals():
     assert cnf.clauses == (Clause((x1,)), Clause((not_x1, x2)), Clause((x1, not_x1)))
 
 
-# Tokens ``int`` reads in more than one spelling, tokens it rejects, and
-# separators that split clauses across lines and around comment lines.
-_DIMACS_TOKENS = ("0", "-0", "00", "1", "-1", "+1", "01", "2", "-2", "+2", "3", "-3", "03", "x", "1.5")
-_DIMACS_BREAKS = (" ", " ", " ", "\t", "\n", "\nc a comment\n", "\n\n  ")
+# Tokens ``int`` reads in more than one spelling, tokens it rejects (a ``c``
+# starts a comment only at the start of a line), and separators that split
+# clauses across lines, around comment lines and around a second header,
+# with line breaks that ``str.splitlines`` knows besides ``\n``.
+_DIMACS_TOKENS = (
+    "0", "-0", "00", "1", "-1", "+1", "01", "2", "-2", "+2", "3", "-3", "03", "x", "1.5", "c"
+)
+_DIMACS_BREAKS = (
+    " ", " ", " ", "\t", "\n", "\nc a comment\n", "\n\n  ", "\np cnf 3 1\n",
+    "\x0c", "\x1c", "\u2028", "\r\n", "\u2028c a comment\r\n",
+)
 
 
 @st.composite
@@ -339,6 +346,9 @@ def dimacs_texts(draw):
 @example("p cnf 2 2\n1 -2 0\n-2 x 3 0\n")
 @example("p cnf 2 1\n1 -2\n")
 @example("p cnf 2 2\n1 1 2 0\n-1 -1 -2 0\n")
+@example("p cnf 2 1\n1 x 0\np cnf 2 1\n")
+@example("p cnf 2 1\n1 3 x 0\n")
+@example("p cnf 2 1\n1 x 3 0\n")
 def test_parse_dimacs_matches_reference(text):
     """The reference is the old parser with one fix on top: a literal
     repeated in a clause counts once."""
