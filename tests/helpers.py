@@ -883,15 +883,38 @@ def respelled(rng: random.Random, text: str) -> str:
     return _RENDERED_TOKEN_RE.sub(lambda match: rng.choice(_RESPELLINGS[match.group()]), text)
 
 
+_LEXEME_RE = re.compile(r"[A-Za-z_]\w*|<->|->|[|&~()]")
+_BINARY_LEXEMES = ("<->", "->", "|", "&")
+
+
+def malformed(rng: random.Random, text: str, kind: str) -> str:
+    """``text`` as ``render`` writes it, broken in one place by ``kind``:
+    ``drop`` removes an operand, ``double`` repeats an operand or binary
+    operator, and ``$``, ``)`` and ``(`` insert that character before a
+    lexeme or at the end.  A well-formed formula has one operand more than
+    it has binary operators and balanced parentheses, so each result is
+    malformed."""
+    spans = [(match.start(), match.end(), match.group()) for match in _LEXEME_RE.finditer(text)]
+    if kind in ("drop", "double"):
+        operands = [span for span in spans if span[2][0].isalpha() or span[2][0] == "_"]
+        if kind == "double":
+            operands += [span for span in spans if span[2] in _BINARY_LEXEMES]
+        start, end, lexeme = rng.choice(operands)
+        return text[:start] + ("" if kind == "drop" else f"{lexeme} {lexeme}") + text[end:]
+    at = rng.choice([start for start, _, _ in spans] + [len(text)])
+    return text[:at] + kind + text[at:]
+
+
 def golden_cli_inputs() -> list[tuple[str, str, bool]]:
     """The fixed corpus of the golden CLI test: ``(name, text, dimacs)``
-    for 370 seeded inputs.  Horn formula texts, random formula texts
+    for 392 seeded inputs.  Horn formula texts, random formula texts
     (non-Horn and constant-only ones included), small planted Horn DIMACS
     files with and without one all-negative clause over planted atoms,
     which makes them UNSAT, short, sometimes malformed DIMACS texts,
-    formula texts whose clauses repeat a literal, and 20 of the Horn texts
+    formula texts whose clauses repeat a literal, 20 of the Horn texts
     and 10 of the random ones with ``<->`` spelled with the other
-    operators."""
+    operators, and 22 malformed formula texts: 20 Horn or random texts
+    broken by :func:`malformed`, one empty and one whitespace-only."""
     rng = random.Random(2024)
     inputs = []
     for k in range(100):
@@ -914,5 +937,9 @@ def golden_cli_inputs() -> list[tuple[str, str, bool]]:
     chosen = rng.sample(range(100), 20) + rng.sample(with_iff, 10)
     for k, index in enumerate(chosen):
         inputs.append((f"spelled-{k:03}", respelled(rng, inputs[index][1]), False))
+    kinds = ("drop", "double", "$", ")", "(") * 4
+    broken = [malformed(rng, inputs[rng.randrange(160)][1], kind) for kind in kinds]
+    for k, text in enumerate(broken + ["", " \n\t \n"]):
+        inputs.append((f"malformed-{k:03}", text, False))
     return inputs
 
