@@ -21,7 +21,7 @@ from .horn import HornFormula, HornImplication, NotHornError, horn_from_clauses
 from .normalform import BOT, TOP, Clause, ClauseBudgetError, CnfFormula, Literal, to_cnf
 from .oracle import DEFAULT_SYMBOL_CAP, SymbolCapError, classify
 from .parsing import DimacsError, ParseError, parse_dimacs, parse_formula
-from .solver import SolveOutcome, TraceStep, extract_model, precheck, solve
+from .solver import SolveOutcome, Trace, extract_model, precheck, solve
 
 __all__ = ["TraceDocument", "build_trace_document", "cli_main", "main"]
 
@@ -56,35 +56,36 @@ def render_implication(imp: HornImplication) -> str:
 
 
 def _rendered_sets(
-    steps: Sequence[TraceStep],
+    trace: Trace,
     encode: Callable[[str], str],
     render: Callable[[list[str]], str],
-) -> Iterator[tuple[TraceStep, str, str]]:
-    """Yield each step with its ``set_before`` and ``set_after`` rendered.
+) -> Iterator[tuple[int | None, str | None, int, str, str]]:
+    """Yield each step's fired index, consequent, remaining count, and its
+    ``set_before`` and ``set_after`` rendered.
 
     ``render`` lays out the set's elements, each ``encode``-d once, in
-    sorted order of their displayed names.  A step's ``set_after`` is its
-    ``set_before`` plus ``consequent_added`` when that is new, and the next
-    step's ``set_before``, so only the first step's ``set_before`` is read,
-    each step costs one insertion, and each distinct set is rendered once.
+    sorted order of their displayed names.  Step k adds the atoms of
+    ``log[sizes[k]:sizes[k + 1]]``, at most one, so each step costs at most
+    one insertion and each distinct set is rendered once.
     """
-    if not steps:
-        return
-    members = set(steps[0].set_before)
-    names = sorted(display_atom(a) for a in members)
+    log, sizes, implications = trace.log, trace.sizes, trace.implications
+    names = sorted(display_atom(a) for a in log[: sizes[0]])
     items = [encode(name) for name in names]
     after = render(items)
-    for step in steps:
+    remaining = len(implications)
+    for k, index in enumerate((*trace.fired, None)):
         before = after
-        atom = step.consequent_added
-        if atom is not None and atom not in members:
-            members.add(atom)
+        for atom in log[sizes[k] : sizes[k + 1]]:
             name = display_atom(atom)
             position = bisect_right(names, name)
             names.insert(position, name)
             items.insert(position, encode(name))
             after = render(items)
-        yield step, before, after
+        consequent = None
+        if index is not None:
+            consequent = implications[index].consequent
+            remaining -= 1
+        yield index, consequent, remaining, before, after
 
 
 def _text_set(items: list[str]) -> str:
@@ -118,7 +119,7 @@ class TraceDocument:
 
     input_formula: str
     horn_form: tuple[str, ...]
-    steps: tuple[TraceStep, ...]
+    steps: Trace
     final_set: tuple[str, ...]
     verdict: str
     model: dict[str, int] | None
@@ -136,8 +137,8 @@ class TraceDocument:
             ',\n  "steps": ',
         ]
         opening = "[\n    {"
-        for step, before, after in _rendered_sets(self.steps, json.dumps, _json_step_set):
-            index, consequent = step.fired_index, step.consequent_added
+        steps = _rendered_sets(self.steps, json.dumps, _json_step_set)
+        for index, consequent, remaining, before, after in steps:
             parts += (
                 opening,
                 '\n      "fired_index": ',
@@ -149,7 +150,7 @@ class TraceDocument:
                 ',\n      "set_after": ',
                 after,
                 ',\n      "remaining_after": ',
-                str(step.remaining_after),
+                str(remaining),
                 "\n    }",
             )
             opening = ",\n    {"
@@ -181,12 +182,12 @@ class TraceDocument:
             parts.append(f"\nshortcut: {self.shortcut}")
         parts.append("\ntrace:")
         steps = _rendered_sets(self.steps, str, _text_set)
-        for number, (step, before, after) in enumerate(steps, start=1):
-            if step.fired_index is None:
-                parts += (f"\n  {number}. stop ({step.remaining_after} remaining): ", after)
+        for number, (index, _, remaining, before, after) in enumerate(steps, start=1):
+            if index is None:
+                parts += (f"\n  {number}. stop ({remaining} remaining): ", after)
             else:
-                implication = self.horn_form[step.fired_index]
-                parts += (f"\n  {number}. fire [{step.fired_index}] {implication}: ", before, " => ", after)
+                implication = self.horn_form[index]
+                parts += (f"\n  {number}. fire [{index}] {implication}: ", before, " => ", after)
         parts.append("\nfinal:    {" + ", ".join(self.final_set) + "}")
         parts.append(f"\nsteps:    {self.step_count}\nverdict:  {self.verdict}")
         if self.model is not None:

@@ -23,19 +23,22 @@ min-heap.  As the set only grows, the heap's minimum is always the
 leftmost fireable implication.  Every antecedent atom is counted and
 decremented at most once: O(total antecedent size + n log n) time.
 
-A run logs each atom once, in the order it entered the set, and every
-trace step records two prefix lengths into that log.  ``set_before`` and
-``set_after`` are built only when read, so a run that reads no trace sets
-does linear work.
+A run is stored flat, as the paper's sequence of sets reads it: each set
+is a prefix of the atom log, which holds each atom once in the order it
+entered, and the fired implication decides which prefix.  So the log, the
+input position of each firing and the log's length at each step are the
+whole run (see :class:`Trace`).  A step and its two sets are built only
+when read, so a run that reads no trace does linear work and keeps one
+int per firing and per step.
 """
 
 from __future__ import annotations
 
+from collections.abc import Iterable, Iterator, Sequence
 from heapq import heappop, heappush
-from typing import Iterable, Sequence
 
 from .formula import _record
-from .horn import HornFormula, horn_symbols
+from .horn import HornFormula, HornImplication, horn_symbols
 from .normalform import BOT, TOP
 
 __all__ = [
@@ -53,84 +56,77 @@ SHORTCUT_NO_BOT_CONSEQUENT = "no implication has consequent bot"
 SHORTCUT_NO_TOP_ANTECEDENT = "no antecedent is top"
 
 
+@_record()
 class TraceStep:
     """One engine step.
 
     ``fired_index`` is the implication's position in the original input
     order, or None for the terminal step that detects the fixpoint.
-    ``set_before`` and ``set_after`` are the first ``before`` and ``after``
-    atoms of the run's log, built on each read.  Within a run, each step's
-    ``set_before`` equals the previous step's ``set_after``.
+    Within a run, each step's ``set_before`` equals the previous step's
+    ``set_after``.
     """
 
-    # Written out by hand, not as a dataclass: equality and hash are over
-    # the two derived sets, not over the stored log and prefix lengths.
-    __slots__ = ("_fired_index", "_consequent_added", "_remaining_after", "_log", "_before", "_after")
+    fired_index: int | None
+    consequent_added: str | None
+    set_before: frozenset[str]
+    set_after: frozenset[str]
+    remaining_after: int
 
-    def __init__(
-        self,
-        fired_index: int | None,
-        consequent_added: str | None,
-        remaining_after: int,
-        log: Sequence[str],
-        before: int,
-        after: int,
-    ) -> None:
-        self._fired_index = fired_index
-        self._consequent_added = consequent_added
-        self._remaining_after = remaining_after
-        self._log = log
-        self._before = before
-        self._after = after
 
-    @property
-    def fired_index(self) -> int | None:
-        return self._fired_index
+@_record()
+class Trace(Sequence):
+    """The steps of one run, each built as a :class:`TraceStep` when read.
 
-    @property
-    def consequent_added(self) -> str | None:
-        return self._consequent_added
+    ``log`` holds each atom of the final set once, in the order it entered,
+    the start set first.  ``fired`` holds the input position into
+    ``implications`` of each fired implication, in firing order, and
+    ``sizes[k]`` is the log's length before step k, with one final entry
+    for its length after the last step.  So step k's ``set_before`` and
+    ``set_after`` are the first ``sizes[k]`` and ``sizes[k + 1]`` atoms of
+    the log, and the step after the last firing is the terminal one.
+    Equality and hash are over the steps, so a trace equals the tuple of
+    its steps.
+    """
 
-    @property
-    def remaining_after(self) -> int:
-        return self._remaining_after
+    implications: Sequence[HornImplication]
+    log: Sequence[str]
+    fired: Sequence[int]
+    sizes: Sequence[int]
 
-    @property
-    def set_before(self) -> frozenset[str]:
-        return frozenset(self._log[: self._before])
+    def __len__(self) -> int:
+        return len(self.sizes) - 1
 
-    @property
-    def set_after(self) -> frozenset[str]:
-        return frozenset(self._log[: self._after])
+    def __getitem__(self, key):
+        positions = range(len(self))[key]
+        if isinstance(positions, range):
+            return tuple(map(self._step, positions))
+        return self._step(positions)
 
-    def _values(self) -> tuple:
-        return (
-            self.fired_index,
-            self.consequent_added,
-            self.set_before,
-            self.set_after,
-            self.remaining_after,
-        )
+    def __iter__(self) -> Iterator[TraceStep]:
+        return map(self._step, range(len(self)))
+
+    def _step(self, k: int) -> TraceStep:
+        log, sizes, fired = self.log, self.sizes, self.fired
+        index = fired[k] if k < len(fired) else None
+        consequent = None if index is None else self.implications[index].consequent
+        remaining = len(self.implications) - min(k + 1, len(fired))
+        before, after = frozenset(log[: sizes[k]]), frozenset(log[: sizes[k + 1]])
+        return TraceStep(index, consequent, before, after, remaining)
 
     def __eq__(self, other: object) -> bool:
-        if not isinstance(other, TraceStep):
+        if not isinstance(other, (Trace, tuple)):
             return NotImplemented
-        return self._values() == other._values()
+        return tuple(self) == tuple(other)
 
     def __hash__(self) -> int:
-        return hash(self._values())
-
-    def __repr__(self) -> str:
-        names = ("fired_index", "consequent_added", "set_before", "set_after", "remaining_after")
-        fields = ", ".join(f"{name}={value!r}" for name, value in zip(names, self._values()))
-        return f"TraceStep({fields})"
+        return hash(tuple(self))
 
 
 @_record()
 class SolveOutcome:
     satisfiable: bool
     final_set: frozenset[str]
-    trace: tuple[TraceStep, ...]
+    trace: Trace
     steps: int  # firings plus one terminal step
 
 
@@ -138,7 +134,7 @@ def saturate(
     phi: HornFormula,
     start: Iterable[str],
     early_stop: bool = False,
-) -> tuple[frozenset[str], tuple[TraceStep, ...]]:
+) -> tuple[frozenset[str], Trace]:
     """Run the engine from ``start`` (which must contain TOP) to a fixpoint.
 
     Returns the accumulated set and the trace.  With ``early_stop`` the
@@ -166,13 +162,11 @@ def saturate(
         if not count:
             fireable.append(index)  # in ascending order, so already a heap
 
-    remaining = len(implications)
-    trace: list[TraceStep] = []
+    fired: list[int] = []
+    sizes = [len(log)]
     while fireable and not (early_stop and BOT in current):
         index = heappop(fireable)
         consequent = implications[index].consequent
-        before = len(log)
-        remaining -= 1
         if consequent not in current:
             current.add(consequent)
             log.append(consequent)
@@ -180,9 +174,10 @@ def saturate(
                 missing[waiter] -= 1
                 if not missing[waiter]:
                     heappush(fireable, waiter)
-        trace.append(TraceStep(index, consequent, remaining, log, before, len(log)))
-    trace.append(TraceStep(None, None, remaining, log, len(log), len(log)))
-    return frozenset(current), tuple(trace)
+        fired.append(index)
+        sizes.append(len(log))
+    sizes.append(len(log))
+    return frozenset(current), Trace(implications, log, fired, sizes)
 
 
 def solve(phi: HornFormula, early_stop: bool = False) -> SolveOutcome:

@@ -4,14 +4,19 @@ import contextlib
 import gc
 import io
 import json
+import os
 import random
+import subprocess
+import sys
 import time
 import tracemalloc
+from pathlib import Path
 
 import hypothesis.strategies as st
 import pytest
 from hypothesis import example, given
 
+import hornsat
 from hornsat import (
     BOT,
     SHORTCUT_NO_BOT_CONSEQUENT,
@@ -671,3 +676,59 @@ def test_trace_json_scales_with_output_size(tmp_path):
     assert document["step_count"] == links + 2
     assert document["final_set"] == sorted(replayed) == sorted([*(f"x{k}" for k in range(1, links + 2)), "top"])
     assert document["model"] == {f"x{k}": 1 for k in range(1, links + 2)}
+
+
+# Runs each ``(argv, stdin text)`` pair through ``cli_main`` under a
+# recursion limit of 60 frames, and prints each run's exit code and stderr
+# as JSON; an exception that escapes ``cli_main`` is recorded as its
+# traceback.
+_LOW_LIMIT_SCRIPT = """
+import contextlib, io, json, sys, traceback
+from hornsat.cli import cli_main
+runs = json.load(sys.stdin)
+results = []
+sys.setrecursionlimit(60)
+for argv, text in runs:
+    sys.stdin, err = io.StringIO(text), io.StringIO()
+    with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(err):
+        try:
+            code = cli_main(argv)
+        except Exception:
+            sys.setrecursionlimit(1000)
+            code = None
+            err.write(traceback.format_exc())
+            sys.setrecursionlimit(60)
+    results.append([code, err.getvalue()])
+sys.setrecursionlimit(1000)
+json.dump(results, sys.__stdout__)
+"""
+
+
+def test_deep_inputs_run_under_a_low_recursion_limit():
+    # Inputs nest as deep as memory allows, so no stage of any command may
+    # recurse per level: 60 frames leave no room for that.
+    chains = {
+        "parentheses": ("(" * 20_000 + "p" + ")" * 20_000, (10, 10, 0, 0)),
+        "negations": ("~" * 20_000 + "p", (10, 10, 0, 0)),
+        "implications": (" -> ".join(f"p{k}" for k in range(20_001)), (10, 10, 0, 1)),
+        "biconditionals": (" <-> ".join(f"p{k}" for k in range(201)), (1, 1, 1, 1)),
+        "cnf": (" & ".join(f"(~a{k} | b{k})" for k in range(20_000)), (10, 10, 0, 1)),
+    }
+    commands = (["solve"], ["trace", "--json"], ["convert"], ["classify"])
+    runs = [[[*command, "-"], text] for text, _ in chains.values() for command in commands]
+    source = str(Path(hornsat.__file__).parents[1])
+    proc = subprocess.run(
+        [sys.executable, "-c", _LOW_LIMIT_SCRIPT],
+        input=json.dumps(runs),
+        capture_output=True,
+        text=True,
+        env={**os.environ, "PYTHONPATH": source},
+        timeout=120,
+    )
+    assert proc.returncode == 0, proc.stderr
+    results = iter(json.loads(proc.stdout))
+    for name, (_, codes) in chains.items():
+        for command, code in zip(commands, codes):
+            got, stderr = next(results)
+            assert "Traceback" not in stderr and "recursion" not in stderr, (name, command, stderr)
+            assert got == code, (name, command, stderr)

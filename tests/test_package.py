@@ -7,12 +7,15 @@ import dataclasses
 import importlib
 import io
 import re
+import tomllib
 from pathlib import Path
 
 import hornsat
+import hornsat.cli
 
 SOURCE = Path(hornsat.__file__).parent
-README = Path(__file__).resolve().parents[1] / "README.md"
+ROOT = Path(__file__).resolve().parents[1]
+README = ROOT / "README.md"
 
 
 def _self_calls(function: ast.FunctionDef) -> bool:
@@ -118,6 +121,13 @@ def test_readme_library_example_runs_as_shown():
         "0 p ['p', '⊤']\n"
         "None None ['p', '⊤']\n"
     )
+
+
+def test_console_script_is_cli_main():
+    with (ROOT / "pyproject.toml").open("rb") as handle:
+        scripts = tomllib.load(handle)["project"]["scripts"]
+    module, _, name = scripts["hornsat"].partition(":")
+    assert getattr(importlib.import_module(module), name) is hornsat.cli.main
 
 
 def test_public_names_are_exactly_these():

@@ -152,6 +152,22 @@ def test_trace_sets_grow_by_at_most_one():
         assert len(entry.set_after - entry.set_before) <= 1
 
 
+def test_trace_reads_like_a_tuple_of_its_steps():
+    outcome = solve(GOLDEN_UNSAT)
+    trace, steps = outcome.trace, tuple(outcome.trace)
+    assert len(trace) == len(steps) == outcome.steps
+    assert trace[-1] == steps[-1] and trace[-len(trace)] == steps[0]
+    assert trace[1:3] == steps[1:3] and type(trace[1:3]) is tuple
+    assert trace[::-1] == steps[::-1]
+    assert [trace[k] for k in range(len(trace))] == list(trace) == list(steps)
+    with pytest.raises(IndexError):
+        trace[len(trace)]
+    with pytest.raises(IndexError):
+        trace[-len(trace) - 1]
+    assert trace.fired == [step.fired_index for step in steps[:-1]]
+    assert steps[-1].fired_index is None
+
+
 def test_solve_verdicts():
     assert not solve(GOLDEN_UNSAT).satisfiable
     assert solve(GOLDEN_SAT).satisfiable
@@ -330,7 +346,7 @@ def test_reverse_chain_scales_linearly(shape, first_fired):
     assert outcome.steps == links + 2
     assert [step.fired_index for step in outcome.trace[:3]] == first_fired
     assert elapsed < 10.0
-    assert peak < 200 * 2**20
+    assert peak < 26 * 2**20
 
 
 def test_reverse_chain_end_to_end(tmp_path, capsys):
