@@ -64,28 +64,27 @@ def _rendered_sets(
     ``set_before`` and ``set_after`` rendered.
 
     ``render`` lays out the set's elements, each ``encode``-d once, in
-    sorted order of their displayed names.  Step k adds the atoms of
-    ``log[sizes[k]:sizes[k + 1]]``, at most one, so each step costs at most
-    one insertion and each distinct set is rendered once.
+    sorted order of their displayed names.  A firing inserts its consequent
+    only if that atom (not its name: ``"top"`` displays like TOP) is new, so
+    each distinct set is rendered once.
     """
-    log, sizes, implications = trace.log, trace.sizes, trace.implications
-    names = sorted(display_atom(a) for a in log[: sizes[0]])
+    implications, members = trace.implications, set(trace.start)
+    names = sorted(map(display_atom, members))
     items = [encode(name) for name in names]
     after = render(items)
     remaining = len(implications)
-    for k, index in enumerate((*trace.fired, None)):
-        before = after
-        for atom in log[sizes[k] : sizes[k + 1]]:
-            name = display_atom(atom)
+    for index in trace.fired:
+        before, consequent = after, implications[index].consequent
+        if consequent not in members:
+            members.add(consequent)
+            name = display_atom(consequent)
             position = bisect_right(names, name)
             names.insert(position, name)
             items.insert(position, encode(name))
             after = render(items)
-        consequent = None
-        if index is not None:
-            consequent = implications[index].consequent
-            remaining -= 1
+        remaining -= 1
         yield index, consequent, remaining, before, after
+    yield None, None, remaining, after, after
 
 
 def _text_set(items: list[str]) -> str:
@@ -385,4 +384,11 @@ def cli_main(argv: Sequence[str] | None = None) -> int:
 
 
 def main() -> None:
+    # ``-`` reads what a path reads, UTF-8 with universal newlines, and
+    # output is UTF-8 whatever the locale; in-process callers of
+    # ``cli_main`` keep their own streams.
+    if hasattr(sys.stdin, "reconfigure"):
+        sys.stdin.reconfigure(encoding="utf-8", errors="strict", newline=None)
+    if hasattr(sys.stdout, "reconfigure"):
+        sys.stdout.reconfigure(encoding="utf-8")
     sys.exit(cli_main(sys.argv[1:]))

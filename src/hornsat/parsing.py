@@ -179,7 +179,8 @@ def parse_dimacs(text: str) -> CnfFormula:
     clause and maps to the single-falsum clause.  A literal repeated in a
     clause counts once, at its first occurrence.  Comment lines start with
     ``c``.  The header is ``p cnf VARS CLAUSES`` with two non-negative
-    ints.  Raises :class:`DimacsError` on a malformed header, a literal
+    ints; every int is ASCII digits with an optional sign.  Raises
+    :class:`DimacsError` on a malformed header, a bad token, a literal
     outside the declared range, or a clause without its 0 terminator.
 
     One loop sorts the lines and gathers the clause tokens; one ``int``
@@ -199,9 +200,13 @@ def parse_dimacs(text: str) -> CnfFormula:
                 raise _dimacs_error(text)
     if declared_vars is None:
         raise _dimacs_error(text)
-    tokens = " ".join(data).split()
+    joined = " ".join(data)
+    # Unless the data is plain ASCII without ``_``, each token is checked.
+    convert = int if joined.isascii() and "_" not in joined else _dimacs_int
+    tokens = joined.split()
+    del joined
     try:
-        values = list(map(int, tokens))
+        values = list(map(convert, tokens))
     except ValueError:
         raise _dimacs_error(text) from None
     del tokens  # kept beside the clauses, the strings would set the peak memory
@@ -228,12 +233,20 @@ def parse_dimacs(text: str) -> CnfFormula:
     return CnfFormula(tuple(clauses))
 
 
+def _dimacs_int(token: str) -> int:
+    """``int(token)`` for ASCII digits with an optional sign; ``int`` alone
+    would also take ``1_0`` and digits of other scripts."""
+    if not token.isascii() or "_" in token:
+        raise ValueError(f"not a DIMACS int: {token!r}")
+    return int(token)
+
+
 def _declared_vars(header: str) -> int:
     """The variable count of a ``p cnf VARS CLAUSES`` header, or -1 for any
     other line."""
     fields = header.split()
     try:
-        declared_vars, declared_clauses = map(int, fields[2:])
+        declared_vars, declared_clauses = map(_dimacs_int, fields[2:])
     except ValueError:  # not exactly two ints
         return -1
     if fields[:2] != ["p", "cnf"] or min(declared_vars, declared_clauses) < 0:
@@ -260,7 +273,7 @@ def _dimacs_error(text: str) -> DimacsError:
             return DimacsError(f"line {line_no}: clause data before the header")
         for field in stripped.split():
             try:
-                value = int(field)
+                value = _dimacs_int(field)
             except ValueError:
                 return DimacsError(f"line {line_no}: bad literal token {field!r}")
             if abs(value) > declared_vars:

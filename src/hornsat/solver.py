@@ -23,19 +23,18 @@ min-heap.  As the set only grows, the heap's minimum is always the
 leftmost fireable implication.  Every antecedent atom is counted and
 decremented at most once: O(total antecedent size + n log n) time.
 
-A run is stored flat, as the paper's sequence of sets reads it: each set
-is a prefix of the atom log, which holds each atom once in the order it
-entered, and the fired implication decides which prefix.  So the log, the
-input position of each firing and the log's length at each step are the
-whole run (see :class:`Trace`).  A step and its two sets are built only
-when read, so a run that reads no trace does linear work and keeps one
-int per firing and per step.
+A run is stored as the paper's recursion determines it: each call fires
+the leftmost fireable implication and adds its consequent, so the start
+set and the input positions of the firings, in order, are the whole run
+(see :class:`Trace`).  Steps are built only when read, so a run that
+reads no trace does linear work and keeps one int per firing.
 """
 
 from __future__ import annotations
 
 from collections.abc import Iterable, Iterator, Sequence
 from heapq import heappop, heappush
+from itertools import islice
 
 from .formula import _record
 from .horn import HornFormula, HornImplication, horn_symbols
@@ -77,41 +76,44 @@ class TraceStep:
 class Trace(Sequence):
     """The steps of one run, each built as a :class:`TraceStep` when read.
 
-    ``log`` holds each atom of the final set once, in the order it entered,
-    the start set first.  ``fired`` holds the input position into
-    ``implications`` of each fired implication, in firing order, and
-    ``sizes[k]`` is the log's length before step k, with one final entry
-    for its length after the last step.  So step k's ``set_before`` and
-    ``set_after`` are the first ``sizes[k]`` and ``sizes[k + 1]`` atoms of
-    the log, and the step after the last firing is the terminal one.
-    Equality and hash are over the steps, so a trace equals the tuple of
-    its steps.
+    ``fired`` holds the input position into ``implications`` of each fired
+    implication, in firing order, and the step after the last firing is the
+    terminal one.  Step k's ``set_before`` is ``start`` plus the first k
+    firings' consequents, so reading step k alone costs O(|start| + k);
+    iterating builds each set from the one before, and shares it
+    (``set_after is set_before``) when a firing adds nothing.  Equality and
+    hash are over the steps, so a trace equals the tuple of its steps.
     """
 
     implications: Sequence[HornImplication]
-    log: Sequence[str]
+    start: frozenset[str]
     fired: Sequence[int]
-    sizes: Sequence[int]
 
     def __len__(self) -> int:
-        return len(self.sizes) - 1
+        return len(self.fired) + 1
 
     def __getitem__(self, key):
         positions = range(len(self))[key]
         if isinstance(positions, range):
-            return tuple(map(self._step, positions))
-        return self._step(positions)
+            low, high = min(positions, default=0), max(positions, default=-1)
+            window = tuple(islice(self._steps(low), high + 1 - low))
+            return tuple(window[k - low] for k in positions)
+        return next(self._steps(positions))
 
     def __iter__(self) -> Iterator[TraceStep]:
-        return map(self._step, range(len(self)))
+        return self._steps()
 
-    def _step(self, k: int) -> TraceStep:
-        log, sizes, fired = self.log, self.sizes, self.fired
-        index = fired[k] if k < len(fired) else None
-        consequent = None if index is None else self.implications[index].consequent
-        remaining = len(self.implications) - min(k + 1, len(fired))
-        before, after = frozenset(log[: sizes[k]]), frozenset(log[: sizes[k + 1]])
-        return TraceStep(index, consequent, before, after, remaining)
+    def _steps(self, k: int = 0) -> Iterator[TraceStep]:
+        implications, fired = self.implications, self.fired
+        after = self.start.union(implications[index].consequent for index in islice(fired, k))
+        remaining = len(implications) - k
+        for index in islice(fired, k, None):
+            before, consequent = after, implications[index].consequent
+            if consequent not in before:
+                after = before | {consequent}
+            remaining -= 1
+            yield TraceStep(index, consequent, before, after, remaining)
+        yield TraceStep(None, None, after, after, remaining)
 
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, (Trace, tuple)):
@@ -142,10 +144,10 @@ def saturate(
     subset of the full fixpoint that already contains BOT, which settles
     satisfiability just as well.
     """
-    current = set(start)
-    if TOP not in current:
+    start = frozenset(start)
+    if TOP not in start:
         raise ValueError("the start set must contain the verum token")
-    log = list(current)
+    current = set(start)
     implications = phi.implications
     missing: list[int] = []  # per implication: antecedent atoms not in the set
     waiting: dict[str, list[int]] = {imp.consequent: [] for imp in implications}
@@ -163,21 +165,17 @@ def saturate(
             fireable.append(index)  # in ascending order, so already a heap
 
     fired: list[int] = []
-    sizes = [len(log)]
     while fireable and not (early_stop and BOT in current):
         index = heappop(fireable)
         consequent = implications[index].consequent
         if consequent not in current:
             current.add(consequent)
-            log.append(consequent)
             for waiter in waiting.pop(consequent, ()):
                 missing[waiter] -= 1
                 if not missing[waiter]:
                     heappush(fireable, waiter)
         fired.append(index)
-        sizes.append(len(log))
-    sizes.append(len(log))
-    return frozenset(current), Trace(implications, log, fired, sizes)
+    return frozenset(current), Trace(implications, start, fired)
 
 
 def solve(phi: HornFormula, early_stop: bool = False) -> SolveOutcome:

@@ -683,9 +683,17 @@ def reference_trace_text(document) -> str:
 # The front half as it was before each clause was read once: ``parse_dimacs``
 # built a checked Literal per occurrence, and ``horn_from_clauses`` scanned
 # each clause three times.  The references the one-pass versions must match.
-# ``reference_parse_dimacs`` has one change on top: a literal repeated in a
+# ``reference_parse_dimacs`` has two changes on top: a literal repeated in a
 # clause counts once, as it does in ``to_cnf`` (the old code kept every copy,
-# so a clause such as ``1 1 0`` was rejected as non-Horn).
+# so a clause such as ``1 1 0`` was rejected as non-Horn); and an int is
+# ASCII digits with an optional sign, where ``int`` alone also takes ``1_0``
+# and digits of other scripts.
+def _reference_int(field: str) -> int:
+    if not field.isascii() or "_" in field:  # the second change
+        raise ValueError(field)
+    return int(field)
+
+
 def reference_parse_dimacs(text: str) -> CnfFormula:
     declared_vars: int | None = None
     clauses: list[Clause] = []
@@ -699,7 +707,7 @@ def reference_parse_dimacs(text: str) -> CnfFormula:
                 raise DimacsError(f"line {line_no}: duplicate header")
             fields = stripped.split()
             try:
-                declared_vars, declared_clauses = map(int, fields[2:])
+                declared_vars, declared_clauses = map(_reference_int, fields[2:])
             except ValueError:  # not exactly two ints
                 declared_vars = declared_clauses = -1
             if fields[:2] != ["p", "cnf"] or min(declared_vars, declared_clauses) < 0:
@@ -709,7 +717,7 @@ def reference_parse_dimacs(text: str) -> CnfFormula:
             raise DimacsError(f"line {line_no}: clause data before the header")
         for field in stripped.split():
             try:
-                value = int(field)
+                value = _reference_int(field)
             except ValueError:
                 raise DimacsError(f"line {line_no}: bad literal token {field!r}") from None
             if value == 0:

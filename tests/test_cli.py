@@ -125,6 +125,27 @@ def test_solve_dimacs_rejects_a_malformed_header(write, capsys, header):
     assert capsys.readouterr().out == "SAT\nx1=1\n"
 
 
+@pytest.mark.parametrize(
+    "text, error",
+    [
+        ("p cnf 10 1\n1_0 0", "line 2: bad literal token '1_0'"),
+        ("p cnf 3 1\n-\u0661 0", "line 2: bad literal token '-\u0661'"),
+        ("p cnf 3 1\n\uff12 0", "line 2: bad literal token '\uff12'"),
+        ("p cnf 1_0 1\n1 0", "line 1: malformed header 'p cnf 1_0 1'"),
+        ("p cnf \u0663 1\n1 0", "line 1: malformed header 'p cnf \u0663 1'"),
+    ],
+    ids=["underscore", "arabic-indic", "fullwidth", "header-underscore", "header-arabic-indic"],
+)
+def test_solve_dimacs_takes_only_ascii_digits(write, capsys, text, error):
+    path = write(text, name="input.cnf")
+    assert cli_main(["solve", path, "--dimacs"]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == f"error: {error}\n"
+    assert cli_main(["solve", write("p cnf 2 1\n+1 0", name="signed.cnf"), "--dimacs"]) == 10
+    assert capsys.readouterr().out == "SAT\nx1=1\n"
+
+
 def test_solve_dimacs_repeated_literals_count_once(write, capsys):
     path = write("p cnf 2 2\n1 1 0\n-1 -1 2 0", name="input.cnf")
     assert cli_main(["solve", path, "--dimacs"]) == 10
@@ -732,3 +753,36 @@ def test_deep_inputs_run_under_a_low_recursion_limit():
             got, stderr = next(results)
             assert "Traceback" not in stderr and "recursion" not in stderr, (name, command, stderr)
             assert got == code, (name, command, stderr)
+
+
+def test_stdin_reads_what_a_path_reads_under_any_io_encoding(tmp_path):
+    # ``-`` reads UTF-8 with universal newlines, as a path does, and the
+    # output is UTF-8, whatever PYTHONIOENCODING says.
+    crlf = tmp_path / "crlf.txt"
+    crlf.write_bytes("p ∧\r\nq\r\n".encode("utf-8"))
+    undecodable = tmp_path / "ff.txt"
+    undecodable.write_bytes(b"p \xff q\n")
+    source = str(Path(hornsat.__file__).parents[1])
+    base_env = {key: value for key, value in os.environ.items() if key != "PYTHONIOENCODING"}
+
+    def run(argv, path, encoding, via_stdin):
+        env = {**base_env, "PYTHONPATH": source}
+        if encoding is not None:
+            env["PYTHONIOENCODING"] = encoding
+        with open(path, "rb") as handle:
+            proc = subprocess.run(
+                [sys.executable, "-m", "hornsat", *argv, "-" if via_stdin else str(path)],
+                stdin=handle if via_stdin else subprocess.DEVNULL,
+                capture_output=True,
+                env=env,
+                timeout=60,
+            )
+        assert b"Traceback" not in proc.stderr, (argv, encoding, via_stdin, proc.stderr)
+        return proc.returncode, proc.stdout
+
+    for argv, path in ((["trace"], crlf), (["trace", "--json"], crlf), (["solve"], undecodable)):
+        expected = run(argv, path, None, False)
+        for encoding in (None, "ascii", "latin-1"):
+            for via_stdin in (False, True):
+                assert run(argv, path, encoding, via_stdin) == expected, (argv, encoding, via_stdin)
+    assert json.loads(run(["trace", "--json"], crlf, None, False)[1])["input_formula"] == "p ∧\nq"

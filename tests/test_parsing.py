@@ -314,11 +314,13 @@ def test_parse_dimacs_drops_repeated_literals():
 # clauses across lines, around comment lines and around a second header,
 # with line breaks that ``str.splitlines`` knows besides ``\n``.
 _DIMACS_TOKENS = (
-    "0", "-0", "00", "1", "-1", "+1", "01", "2", "-2", "+2", "3", "-3", "03", "x", "1.5", "c"
+    "0", "-0", "00", "1", "-1", "+1", "01", "2", "-2", "+2", "3", "-3", "03", "x", "1.5", "c",
+    # ``int`` takes these, DIMACS does not.
+    "1_0", "-0_1", "\u0661", "-\u0663", "\uff12",
 )
 _DIMACS_BREAKS = (
     " ", " ", " ", "\t", "\n", "\nc a comment\n", "\n\n  ", "\np cnf 3 1\n",
-    "\x0c", "\x1c", "\u2028", "\r\n", "\u2028c a comment\r\n",
+    "\x0c", "\x1c", "\u2028", "\r\n", "\u2028c a comment\r\n", "\u00a0",
 )
 
 
@@ -329,6 +331,7 @@ def dimacs_texts(draw):
         st.sampled_from(
             (f"p cnf {n_vars} 4",) * 6
             + ("", "p cnf 1", "p dnf 1 1", "p cnf -1 1", "pizza cnf 1 1", "p cnf 1 -1")
+            + ("p cnf 1_0 4", "p cnf \u0663 4", "p cnf 3 4_0")
         )
     )
     parts = [draw(st.sampled_from(("", "c leading comment\n"))), header, "\n"]
@@ -349,6 +352,10 @@ def dimacs_texts(draw):
 @example("p cnf 2 1\n1 x 0\np cnf 2 1\n")
 @example("p cnf 2 1\n1 3 x 0\n")
 @example("p cnf 2 1\n1 x 3 0\n")
+@example("p cnf 10 1\n1_0 0\n")
+@example("p cnf 3 1\n1\u00a0-\u0663 0\n")
+@example("p cnf 3 1\n1\u00a0-3 0\n")
+@example("p cnf 1_0 1\n1 0\n")
 def test_parse_dimacs_matches_reference(text):
     """The reference is the old parser with one fix on top: a literal
     repeated in a clause counts once."""
