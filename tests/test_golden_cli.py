@@ -1,7 +1,10 @@
 """The CLI contract on a fixed corpus: every run's exit code, stdout and
 stderr must hash to the digest committed in ``golden_cli_digests.txt``.
 
-Each line of that file is ``input<TAB>command<TAB>sha256``.  Rewriting it
+Each line of that file is ``input<TAB>command<TAB>sha256``.  Most runs
+read their input from standard input; the path runs read a missing file
+and a file that is not UTF-8, so the handler's ``OSError`` and
+``UnicodeDecodeError`` branches are covered too.  Rewriting it
 changes test data: list each changed run and its reason in CHANGES.md.
 Usage errors are checked by exit code only, since argparse's usage text
 changes between Python versions.
@@ -15,6 +18,7 @@ import hashlib
 import io
 import json
 import sys
+import tempfile
 from pathlib import Path
 
 from hornsat.cli import cli_main
@@ -25,6 +29,10 @@ DIGESTS = Path(__file__).with_name("golden_cli_digests.txt")
 COMMANDS = (("solve",), ("solve", "--no-precheck"), ("trace",), ("trace", "--json"), ("convert",))
 # Run on formula texts only; the two limits make some runs fail with exit 1.
 FORMULA_COMMANDS = (("classify",), ("solve", "--max-clauses", "8"), ("classify", "--max-symbols", "3"))
+# Read from a path, inside a fresh directory so each message names only
+# the relative path; ``None`` is a file that does not exist.
+PATH_INPUTS = (("missing-input.txt", None), ("non-utf8.txt", b"p \xff q"))
+PATH_COMMANDS = COMMANDS + (("classify",),)
 USAGE_ERRORS = (
     ("solve", "-", "--max-clauses", "-1"),
     ("classify", "-", "--max-symbols", "x"),
@@ -62,11 +70,17 @@ def usage_exit_code(argv):
 
 def golden_runs():
     """Yield ``(input name, command, exit code, digest)`` for every run of
-    the corpus, reading each input from standard input."""
+    the corpus."""
     for name, text, dimacs in golden_cli_inputs():
         for command in COMMANDS if dimacs else COMMANDS + FORMULA_COMMANDS:
             argv = [*command, "-", *(("--dimacs",) if dimacs else ())]
             yield name, " ".join(command), *run_digest(argv, text)
+    with tempfile.TemporaryDirectory() as scratch, contextlib.chdir(scratch):
+        for name, data in PATH_INPUTS:
+            if data is not None:
+                Path(name).write_bytes(data)
+            for command in PATH_COMMANDS:
+                yield name, " ".join(command), *run_digest([*command, name], "")
 
 
 def committed_digests():
