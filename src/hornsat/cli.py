@@ -16,7 +16,7 @@ from bisect import bisect_right
 from functools import cache
 from typing import Callable, Iterator, Sequence
 
-from .formula import _record, symbols
+from .formula import Formula, _record, symbols
 from .horn import HornFormula, HornImplication, NotHornError, horn_from_clauses
 from .normalform import BOT, TOP, Clause, ClauseBudgetError, CnfFormula, Literal, to_cnf
 from .oracle import DEFAULT_SYMBOL_CAP, SymbolCapError, classify
@@ -224,28 +224,30 @@ def _read_input(path: str) -> str:
         return handle.read()
 
 
-def _load_cnf(args: argparse.Namespace) -> tuple[str, CnfFormula, set[str]]:
-    """Read the input and produce clauses plus the source symbols that the
-    model must name even where no implication mentions them."""
+def _load_cnf(args: argparse.Namespace) -> tuple[str, CnfFormula, Formula | None]:
+    """Read the input and produce clauses plus the parsed formula, whose
+    symbols a model must name even where no implication mentions them;
+    None for DIMACS."""
     text = _read_input(args.path)
     if args.dimacs:
         # No DIMACS literal is ~bot, so no clause is dropped and every atom
         # is in the implications' symbols, which extract_model reads.
-        return text, parse_dimacs(text), set()
+        return text, parse_dimacs(text), None
     phi = parse_formula(text)
-    return text, to_cnf(phi, max_clauses=args.max_clauses), symbols(phi)
+    return text, to_cnf(phi, max_clauses=args.max_clauses), phi
 
 
 def _run_solver(args: argparse.Namespace):
-    text, cnf, source_symbols = _load_cnf(args)
+    text, cnf, phi = _load_cnf(args)
     horn = horn_from_clauses(cnf)
     shortcut = "; ".join(precheck(horn)) or None
     outcome = solve(horn, early_stop=True)
     model = None
     if outcome.satisfiable:
         model = extract_model(horn, outcome.final_set)
-        for name in source_symbols:
-            model.setdefault(name, 0)
+        if phi is not None:
+            for name in symbols(phi):
+                model.setdefault(name, 0)
     return text, horn, outcome, model, shortcut
 
 

@@ -25,14 +25,16 @@ decremented at most once: O(total antecedent size + n log n) time.
 
 A run is stored as the paper's recursion determines it: each call fires
 the leftmost fireable implication and adds its consequent, so the start
-set and the input positions of the firings, in order, are the whole run
-(see :class:`Trace`).  Steps are built only when read, so a run that
-reads no trace does linear work and keeps one int per firing.
+set and the firings' input positions, in order, are the whole run.  A
+:class:`Trace` stores these and the implications, compares and hashes by
+those three, and builds steps only when read (one forward replay to
+iterate or reverse), so a run that reads no trace does linear work and
+keeps one int per firing.
 """
 
 from __future__ import annotations
 
-from collections.abc import Iterable, Iterator, Sequence
+from collections.abc import Iterable, Iterator
 from heapq import heappop, heappush
 from itertools import islice
 
@@ -73,21 +75,22 @@ class TraceStep:
 
 
 @_record()
-class Trace(Sequence):
-    """The steps of one run, each built as a :class:`TraceStep` when read.
+class Trace:
+    """One run: the implications, the start set and the input position of
+    each firing, in order; equality, hash, copy and pickle cover just these.
 
-    ``fired`` holds the input position into ``implications`` of each fired
-    implication, in firing order, and the step after the last firing is the
-    terminal one.  Step k's ``set_before`` is ``start`` plus the first k
-    firings' consequents, so reading step k alone costs O(|start| + k);
-    iterating builds each set from the one before, and shares it
-    (``set_after is set_before``) when a firing adds nothing.  Equality and
-    hash are over the steps, so a trace equals the tuple of its steps.
+    It reads like the tuple of its steps (:class:`TraceStep`), each built
+    when read, with a terminal step after the last firing: ``len``, indexing
+    (a slice is a tuple), iteration, ``in`` and ``reversed``.  Step k's
+    ``set_before`` is ``start`` plus the first k firings' consequents, so
+    reading step k alone costs O(|start| + k); iterating (and ``reversed``,
+    one forward replay) builds each set from the one before, and shares it
+    (``set_after is set_before``) when a firing adds nothing.
     """
 
-    implications: Sequence[HornImplication]
+    implications: tuple[HornImplication, ...]
     start: frozenset[str]
-    fired: Sequence[int]
+    fired: tuple[int, ...]
 
     def __len__(self) -> int:
         return len(self.fired) + 1
@@ -103,6 +106,9 @@ class Trace(Sequence):
     def __iter__(self) -> Iterator[TraceStep]:
         return self._steps()
 
+    def __reversed__(self) -> Iterator[TraceStep]:
+        return reversed(self[:])
+
     def _steps(self, k: int = 0) -> Iterator[TraceStep]:
         implications, fired = self.implications, self.fired
         after = self.start.union(implications[index].consequent for index in islice(fired, k))
@@ -114,14 +120,6 @@ class Trace(Sequence):
             remaining -= 1
             yield TraceStep(index, consequent, before, after, remaining)
         yield TraceStep(None, None, after, after, remaining)
-
-    def __eq__(self, other: object) -> bool:
-        if not isinstance(other, (Trace, tuple)):
-            return NotImplemented
-        return tuple(self) == tuple(other)
-
-    def __hash__(self) -> int:
-        return hash(tuple(self))
 
 
 @_record()
@@ -175,7 +173,7 @@ def saturate(
                 if not missing[waiter]:
                     heappush(fireable, waiter)
         fired.append(index)
-    return frozenset(current), Trace(implications, start, fired)
+    return frozenset(current), Trace(implications, start, tuple(fired))
 
 
 def solve(phi: HornFormula, early_stop: bool = False) -> SolveOutcome:

@@ -29,7 +29,7 @@ from hornsat import (
     parse_formula,
     solve,
 )
-from hornsat.cli import build_trace_document
+from hornsat.cli import TraceDocument, build_trace_document
 
 from helpers import UNSAT_CHAIN_TEXT
 
@@ -79,6 +79,24 @@ def test_records_are_frozen(record):
             setattr(record, name, None)
         with pytest.raises(dataclasses.FrozenInstanceError):
             delattr(record, name)
+
+
+def _held_records(record):
+    """``record`` and every record among its field values, recursively."""
+    yield record
+    for field in dataclasses.fields(record):
+        value = getattr(record, field.name)
+        if dataclasses.is_dataclass(value):
+            yield from _held_records(value)
+
+
+@pytest.mark.parametrize("record", RECORDS, ids=_id)
+def test_records_hold_no_mutable_containers(record):
+    for held in _held_records(record):
+        for field in dataclasses.fields(held):
+            # A trace document's model is a documented dict.
+            if (type(held), field.name) != (TraceDocument, "model"):
+                assert not isinstance(getattr(held, field.name), (list, dict, set)), field.name
 
 
 @pytest.mark.parametrize(

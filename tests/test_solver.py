@@ -1,5 +1,7 @@
 """Saturation engine: traces, shortcuts, models, and the core set laws."""
 
+import copy
+import pickle
 import random
 import time
 import tracemalloc
@@ -164,7 +166,7 @@ def test_trace_reads_like_a_tuple_of_its_steps():
         trace[len(trace)]
     with pytest.raises(IndexError):
         trace[-len(trace) - 1]
-    assert trace.fired == [step.fired_index for step in steps[:-1]]
+    assert trace.fired == tuple(step.fired_index for step in steps[:-1])
     assert steps[-1].fired_index is None
 
 
@@ -194,6 +196,42 @@ def test_trace_indexing_agrees_with_iteration():
             assert steps[0].set_before == start
             assert steps[-1].set_after is steps[-1].set_before
     assert shared > 100
+
+
+def test_outcome_compares_hashes_and_pickles_by_its_fields():
+    # A trace compares and hashes its three fields, not its steps: building
+    # every step's two sets would take quadratic time and memory.
+    outcome = solve(reverse_chain(4_000))
+
+    def duplicate_and_compare():
+        hash(outcome)
+        assert outcome == copy.deepcopy(outcome)
+        assert pickle.loads(pickle.dumps(outcome)) == outcome
+
+    started = time.perf_counter()
+    duplicate_and_compare()
+    assert time.perf_counter() - started < 1.0
+    tracemalloc.start()
+    try:
+        duplicate_and_compare()
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 8 * 2**20
+
+
+def test_reversed_trace_replays_the_run_once():
+    trace = solve(HornFormula((unit("p"),) * 20_000)).trace
+    started = time.perf_counter()
+    assert list(reversed(trace)) == list(trace)[::-1]
+    assert time.perf_counter() - started < 1.0
+
+
+def test_trace_firings_are_immutable():
+    outcome = solve(HornFormula((unit("p"), rule(("p",), "q"))))
+    assert len(outcome.trace) == 3
+    with pytest.raises(AttributeError):
+        outcome.trace.fired.append(0)
 
 
 def test_solve_verdicts():
