@@ -915,14 +915,17 @@ def malformed(rng: random.Random, text: str, kind: str) -> str:
 
 def golden_cli_inputs() -> list[tuple[str, str, bool]]:
     """The fixed corpus of the golden CLI test: ``(name, text, dimacs)``
-    for 392 seeded inputs.  Horn formula texts, random formula texts
+    for 397 inputs.  Horn formula texts, random formula texts
     (non-Horn and constant-only ones included), small planted Horn DIMACS
     files with and without one all-negative clause over planted atoms,
     which makes them UNSAT, short, sometimes malformed DIMACS texts,
     formula texts whose clauses repeat a literal, 20 of the Horn texts
     and 10 of the random ones with ``<->`` spelled with the other
-    operators, and 22 malformed formula texts: 20 Horn or random texts
-    broken by :func:`malformed`, one empty and one whitespace-only."""
+    operators, 22 malformed formula texts: 20 Horn or random texts
+    broken by :func:`malformed`, one empty and one whitespace-only, and
+    5 deep formula texts: 2,000 nested parentheses, 2,000 ``~``, a
+    2,000-link ``->`` chain, a 2,000-conjunct CNF and a 10-link ``<->``
+    chain."""
     rng = random.Random(2024)
     inputs = []
     for k in range(100):
@@ -949,5 +952,12 @@ def golden_cli_inputs() -> list[tuple[str, str, bool]]:
     broken = [malformed(rng, inputs[rng.randrange(160)][1], kind) for kind in kinds]
     for k, text in enumerate(broken + ["", " \n\t \n"]):
         inputs.append((f"malformed-{k:03}", text, False))
+    inputs += [
+        ("deep-parentheses", "(" * 2_000 + "p" + ")" * 2_000, False),
+        ("deep-negations", "~" * 2_000 + "p", False),
+        ("deep-implications", " -> ".join(f"p{k}" for k in range(2_001)), False),
+        ("deep-cnf", " & ".join(f"(~a{k} | b{k})" for k in range(2_000)), False),
+        ("deep-biconditionals", " <-> ".join(f"p{k}" for k in range(11)), False),
+    ]
     return inputs
 

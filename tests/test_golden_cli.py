@@ -1,5 +1,7 @@
 """The CLI contract on a fixed corpus: every run's exit code, stdout and
-stderr must hash to the digest committed in ``golden_cli_digests.txt``.
+stderr must hash to the digest committed in ``golden_cli_digests.txt``,
+and a few runs must print the full text committed in
+``golden_cli_texts/``, so that a change to them shows as a diff.
 
 Each line of that file is ``input<TAB>command<TAB>sha256``.  Most runs
 read their input from standard input; the path runs read a missing file
@@ -8,12 +10,13 @@ and a file that is not UTF-8, so the handler's ``OSError`` and
 changes test data: list each changed run and its reason in CHANGES.md.
 Usage errors are checked by exit code only, since argparse's usage text
 changes between Python versions.
-Regenerate with ``PYTHONPATH=src python tests/test_golden_cli.py``, which
-prints the added, removed and changed ``input<TAB>command`` keys against
-the file it replaces.
+Regenerate both with ``PYTHONPATH=src python tests/test_golden_cli.py``,
+which prints the added, removed and changed ``input<TAB>command`` keys
+against the digest file it replaces, and the name of each changed text.
 """
 
 import contextlib
+import difflib
 import hashlib
 import io
 import json
@@ -23,9 +26,10 @@ from pathlib import Path
 
 from hornsat.cli import cli_main
 
-from helpers import golden_cli_inputs
+from helpers import SAT_CHAIN_TEXT, UNSAT_CHAIN_TEXT, UNSAT_SHORT_TEXT, golden_cli_inputs
 
 DIGESTS = Path(__file__).with_name("golden_cli_digests.txt")
+TEXTS = Path(__file__).with_name("golden_cli_texts")
 COMMANDS = (("solve",), ("solve", "--no-precheck"), ("trace",), ("trace", "--json"), ("convert",))
 # Run on formula texts only; the two limits make some runs fail with exit 1.
 FORMULA_COMMANDS = (("classify",), ("solve", "--max-clauses", "8"), ("classify", "--max-symbols", "3"))
@@ -40,11 +44,36 @@ USAGE_ERRORS = (
     ("check", "-"),
     ("solve",),
 )
+# The runs whose full text is committed, each as ``(name, argv, standard
+# input)``; ``golden_cli_texts/<name>.txt`` holds its exit code, stdout
+# and stderr.
+TEXT_RUNS = (
+    ("trace-unsat-chain", ("trace", "-"), UNSAT_CHAIN_TEXT),
+    ("trace-json-unsat-chain", ("trace", "--json", "-"), UNSAT_CHAIN_TEXT),
+    ("trace-sat-chain", ("trace", "-"), SAT_CHAIN_TEXT),
+    ("trace-json-sat-chain", ("trace", "--json", "-"), SAT_CHAIN_TEXT),
+    ("trace-unsat-short", ("trace", "-"), UNSAT_SHORT_TEXT),
+    ("trace-json-unsat-short", ("trace", "--json", "-"), UNSAT_SHORT_TEXT),
+    ("trace-early-stop", ("trace", "-"), "~p & p & q & (~q | r)\n"),
+    ("convert-true", ("convert", "-"), "true\n"),
+    ("convert-false", ("convert", "-"), "false\n"),
+    ("convert-or-true", ("convert", "-"), "p | true\n"),
+    ("convert-not-false", ("convert", "-"), "~false & p\n"),
+    ("convert-dimacs-empty-clause", ("convert", "--dimacs", "-"), "p cnf 0 1\n0\n"),
+    ("solve-dimacs", ("solve", "--dimacs", "-"), "c three vars\np cnf 3 3\n1 0\n-1 2 0\n-2 -3 0\n"),
+    ("solve-both-shortcuts", ("solve", "-"), "p -> q\n"),
+    ("solve-not-horn", ("solve", "-"), "p | q\n"),
+    ("solve-clause-budget", ("solve", "--max-clauses", "3", "-"), "(p & q) | (r & s)\n"),
+    ("solve-parse-error", ("solve", "-"), "p |\n"),
+    ("classify-valid", ("classify", "-"), "p | ~p\n"),
+    ("classify-satisfiable", ("classify", "-"), "p & ~q\n"),
+    ("classify-contradictory", ("classify", "-"), "p & ~p\n"),
+)
 
 
-def run_digest(argv, stdin_text):
-    """Exit code of ``cli_main(argv)`` with ``stdin_text`` on standard
-    input, and the sha256 of that code, stdout and stderr."""
+def run_cli(argv, stdin_text):
+    """Exit code, stdout and stderr of ``cli_main(argv)`` with
+    ``stdin_text`` on standard input."""
     stdout, stderr = io.StringIO(), io.StringIO()
     saved = sys.stdin
     sys.stdin = io.StringIO(stdin_text)
@@ -53,8 +82,21 @@ def run_digest(argv, stdin_text):
             code = cli_main(argv)
     finally:
         sys.stdin = saved
-    payload = json.dumps([code, stdout.getvalue(), stderr.getvalue()])
+    return code, stdout.getvalue(), stderr.getvalue()
+
+
+def run_digest(argv, stdin_text):
+    """Exit code of ``cli_main(argv)`` with ``stdin_text`` on standard
+    input, and the sha256 of that code, stdout and stderr."""
+    code, stdout, stderr = run_cli(argv, stdin_text)
+    payload = json.dumps([code, stdout, stderr])
     return code, hashlib.sha256(payload.encode("utf-8")).hexdigest()
+
+
+def run_text(argv, stdin_text):
+    """A run of ``cli_main(argv)`` laid out as its golden text file is."""
+    code, stdout, stderr = run_cli(argv, stdin_text)
+    return f"exit {code}\n--- stdout\n{stdout}--- stderr\n{stderr}"
 
 
 def usage_exit_code(argv):
@@ -109,6 +151,21 @@ def test_cli_output_matches_golden_digests():
     assert codes == {0, 1, 2, 10, 20}
 
 
+def test_cli_output_matches_golden_texts():
+    diffs = []
+    for name, argv, stdin_text in TEXT_RUNS:
+        expected = (TEXTS / f"{name}.txt").read_text(encoding="utf-8")
+        actual = run_text(argv, stdin_text)
+        diffs += difflib.unified_diff(
+            expected.splitlines(keepends=True),
+            actual.splitlines(keepends=True),
+            f"{name}.txt",
+            f"hornsat {' '.join(argv)}",
+        )
+    assert not diffs, "output differs from the golden text:\n" + "".join(diffs)
+    assert sorted(path.name for path in TEXTS.iterdir()) == sorted(f"{name}.txt" for name, _, _ in TEXT_RUNS)
+
+
 if __name__ == "__main__":
     old = committed_digests() if DIGESTS.exists() else {}
     new = {(name, command): digest for name, command, _, digest in golden_runs()}
@@ -123,3 +180,10 @@ if __name__ == "__main__":
     with DIGESTS.open("w", encoding="utf-8", newline="\n") as handle:
         for (name, command), digest in new.items():
             handle.write(f"{name}\t{command}\t{digest}\n")
+    TEXTS.mkdir(exist_ok=True)
+    for name, argv, stdin_text in TEXT_RUNS:
+        path = TEXTS / f"{name}.txt"
+        text = run_text(argv, stdin_text)
+        if not path.exists() or path.read_text(encoding="utf-8") != text:
+            print(f"text\t{name}")
+            path.write_text(text, encoding="utf-8", newline="\n")
