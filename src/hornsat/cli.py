@@ -18,7 +18,7 @@ from typing import Callable, Iterator, Sequence
 
 from .formula import Formula, _record, symbols
 from .horn import HornFormula, HornImplication, NotHornError, horn_from_clauses
-from .normalform import BOT, TOP, Clause, ClauseBudgetError, CnfFormula, Literal, to_cnf
+from .normalform import TOP, Clause, ClauseBudgetError, CnfFormula, Literal, to_cnf
 from .oracle import DEFAULT_SYMBOL_CAP, SymbolCapError, classify
 from .parsing import DimacsError, ParseError, parse_dimacs, parse_formula
 from .solver import SolveOutcome, Trace, extract_model, precheck, solve
@@ -32,18 +32,8 @@ EXIT_ERROR = 1
 DEFAULT_CLAUSE_BUDGET = 100_000
 
 
-def display_atom(atom: str) -> str:
-    """ASCII spelling of an atom token (constants become bot/top)."""
-    if atom == BOT:
-        return "bot"
-    if atom == TOP:
-        return "top"
-    return atom
-
-
 def _render_literal(lit: Literal) -> str:
-    name = display_atom(lit.atom)
-    return name if lit.positive else "~" + name
+    return lit.atom if lit.positive else "~" + lit.atom
 
 
 def _render_clause(clause: Clause) -> str:
@@ -51,8 +41,8 @@ def _render_clause(clause: Clause) -> str:
 
 
 def render_implication(imp: HornImplication) -> str:
-    left = " & ".join(map(display_atom, imp.antecedent.atoms)) or "top"
-    return f"{left} -> {display_atom(imp.consequent)}"
+    left = " & ".join(imp.antecedent.atoms) or TOP
+    return f"{left} -> {imp.consequent}"
 
 
 def _rendered_sets(
@@ -63,24 +53,23 @@ def _rendered_sets(
     """Yield each step's fired index, consequent, remaining count, and its
     ``set_before`` and ``set_after`` rendered.
 
-    ``render`` lays out the set's elements, each ``encode``-d once, in
-    sorted order of their displayed names.  A firing inserts its consequent
-    only if that atom (not its name: ``"top"`` displays like TOP) is new, so
-    each distinct set is rendered once.
+    ``render`` lays out the set's atoms, each ``encode``-d once, in sorted
+    order.  A firing inserts its consequent only if that atom is new, so
+    each distinct set is rendered once.  The member set answers that faster
+    than a search of the sorted list when most firings repeat an atom.
     """
     implications, members = trace.implications, set(trace.start)
-    names = sorted(map(display_atom, members))
-    items = [encode(name) for name in names]
+    atoms = sorted(members)
+    items = [encode(atom) for atom in atoms]
     after = render(items)
     remaining = len(implications)
     for index in trace.fired:
         before, consequent = after, implications[index].consequent
         if consequent not in members:
             members.add(consequent)
-            name = display_atom(consequent)
-            position = bisect_right(names, name)
-            names.insert(position, name)
-            items.insert(position, encode(name))
+            position = bisect_right(atoms, consequent)
+            atoms.insert(position, consequent)
+            items.insert(position, encode(consequent))
             after = render(items)
         remaining -= 1
         yield index, consequent, remaining, before, after
@@ -143,7 +132,7 @@ class TraceDocument:
                 '\n      "fired_index": ',
                 "null" if index is None else str(index),
                 ',\n      "consequent_added": ',
-                _json_str(None if consequent is None else display_atom(consequent)),
+                _json_str(consequent),
                 ',\n      "set_before": ',
                 before,
                 ',\n      "set_after": ',
@@ -205,7 +194,7 @@ def build_trace_document(
         input_formula=input_text.strip(),
         horn_form=tuple(render_implication(imp) for imp in horn.implications),
         steps=outcome.trace,
-        final_set=tuple(sorted(display_atom(a) for a in outcome.final_set)),
+        final_set=tuple(sorted(outcome.final_set)),
         verdict="SAT" if outcome.satisfiable else "UNSAT",
         model=model,
         step_count=outcome.steps,
@@ -373,9 +362,7 @@ def cli_main(argv: Sequence[str] | None = None) -> int:
         SymbolCapError,
         UnicodeDecodeError,
         OSError,
-        RecursionError,
         MemoryError,
-        OverflowError,
     ) as exc:
         # A MemoryError usually carries no message.
         print(f"error: {str(exc) or type(exc).__name__}", file=sys.stderr)

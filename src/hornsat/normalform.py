@@ -38,10 +38,12 @@ __all__ = [
     "to_cnf",
 ]
 
-# Atom tokens for the two constants.  Neither is a legal atom name, so they
-# can share the namespace of symbol names inside literals and solver sets.
-BOT = "⊥"
-TOP = "⊤"
+# Atom tokens for the two constants: the words the grammar reserves for
+# them.  No atom name and no DIMACS name ``x<k>`` is either word, so they
+# share the namespace of symbol names inside literals and solver sets, and
+# every output prints them as they are.
+BOT = "bot"
+TOP = "top"
 
 
 def _token_formula(atom: str) -> Formula:

@@ -45,7 +45,7 @@ from hornsat import (
     is_basic_horn,
     symbols,
 )
-from hornsat.cli import _model_line, display_atom
+from hornsat.cli import _model_line
 from hornsat.oracle import _Table
 
 # The three benchmark inputs exercised end to end.
@@ -613,14 +613,10 @@ def reference_models(phi: Formula, cap: int = DEFAULT_SYMBOL_CAP) -> list[dict[s
 # once: every step re-sorts both of its sets, and the JSON goes through
 # ``json.dumps(..., indent=2)``.  The reference ``to_json`` and ``to_text``
 # must match byte for byte.
-def _displayed(atoms) -> list[str]:
-    return sorted(display_atom(a) for a in atoms)
-
-
 def _displayed_steps(steps):
-    before = _displayed(steps[0].set_before) if steps else []
+    before = sorted(steps[0].set_before) if steps else []
     for step in steps:
-        after = _displayed(step.set_after)
+        after = sorted(step.set_after)
         yield step, before, after
         before = after
 
@@ -636,9 +632,7 @@ def reference_trace_json(document) -> str:
         "steps": [
             {
                 "fired_index": step.fired_index,
-                "consequent_added": None
-                if step.consequent_added is None
-                else display_atom(step.consequent_added),
+                "consequent_added": step.consequent_added,
                 "set_before": before,
                 "set_after": after,
                 "remaining_after": step.remaining_after,

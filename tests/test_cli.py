@@ -511,7 +511,7 @@ def test_cli_leaves_the_collector_as_it_found_it(write, capsys, monkeypatch, col
         (gc.enable if before else gc.disable)()
 
 
-_NAMES = ("p", "q", "z", "top", "é", 'a"b')  # "top" displays like TOP
+_NAMES = ("p", "q", "z", "é", 'a"b')
 _SHORTCUTS = (
     None,
     SHORTCUT_NO_BOT_CONSEQUENT,
@@ -567,7 +567,7 @@ def _assert_renders_like_reference(document):
 )
 @example(  # a consequent already in the set, and an empty model
     input_formula="p ∧ q",
-    implications=[unit("p"), unit("p"), rule(("p",), "top")],
+    implications=[unit("p"), unit("p"), rule(("p",), "q")],
     extra={"q"},
     early_stop=False,
     model={},

@@ -9,6 +9,7 @@ import pytest
 from hypothesis import example, given
 
 from hornsat import (
+    BOT,
     TOP,
     And,
     Atom,
@@ -29,6 +30,7 @@ from hornsat import (
     to_cnf,
 )
 from hornsat.cli import cli_main
+from hornsat.formula import _RESERVED
 
 from helpers import (
     UNSAT_CHAIN_TEXT,
@@ -41,6 +43,19 @@ from helpers import (
 
 def test_single_atom_is_already_cnf():
     assert to_cnf(parse_formula("p")).clauses == (clause("p"),)
+
+
+def test_constants_are_the_reserved_words():
+    # No atom can take the words the grammar keeps for the constants, so
+    # they are the constants' tokens, and a literal that names one means
+    # the constant.
+    assert (BOT, TOP) == ("bot", "top")
+    assert {BOT, TOP} <= _RESERVED
+    for text in ("false", "bot", "⊥"):
+        assert to_cnf(parse_formula(text)).clauses == (Clause((Literal(BOT),)),)
+    assert Literal("bot").to_formula() == Falsum()
+    with pytest.raises(ValueError, match="verum is not atomic"):
+        Literal("top")
 
 
 def test_negated_disjunction_splits():

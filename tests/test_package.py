@@ -118,8 +118,8 @@ def test_readme_library_example_runs_as_shown():
         exec(compile(block, str(README), "exec"), {})
     assert out.getvalue() == (
         "{'p': 1, 'q': 0, 'r': 0, 's': 0}\n"
-        "0 p ['p', '⊤']\n"
-        "None None ['p', '⊤']\n"
+        "0 p ['p', 'top']\n"
+        "None None ['p', 'top']\n"
     )
 
 
