@@ -17,11 +17,11 @@ from functools import cache
 from typing import Callable, Iterator, Sequence
 
 from .formula import Formula, _record, symbols
-from .horn import HornFormula, HornImplication, NotHornError, horn_from_clauses
-from .normalform import TOP, Clause, ClauseBudgetError, CnfFormula, Literal, to_cnf
-from .oracle import DEFAULT_SYMBOL_CAP, SymbolCapError, classify
-from .parsing import DimacsError, ParseError, parse_dimacs, parse_formula
-from .solver import SolveOutcome, Trace, extract_model, precheck, solve
+from .horn import HornFormula, HornImplication, horn_from_clauses, horn_symbols
+from .normalform import TOP, Clause, CnfFormula, Literal, to_cnf
+from .oracle import DEFAULT_SYMBOL_CAP, classify
+from .parsing import parse_dimacs, parse_formula
+from .solver import SolveOutcome, Trace, precheck, solve
 
 __all__ = ["TraceDocument", "build_trace_document", "cli_main", "main"]
 
@@ -101,7 +101,7 @@ def _json_str(value: str | None) -> str:
     return "null" if value is None else json.dumps(value)
 
 
-@_record()
+@_record
 class TraceDocument:
     """A full solver run, ready for text or JSON output."""
 
@@ -208,6 +208,8 @@ def _model_line(model: dict[str, int]) -> str:
 
 def _read_input(path: str) -> str:
     if path == "-":
+        if sys.stdin is None:
+            raise OSError("standard input is closed")
         return sys.stdin.read()
     with open(path, "r", encoding="utf-8") as handle:
         return handle.read()
@@ -220,7 +222,7 @@ def _load_cnf(args: argparse.Namespace) -> tuple[str, CnfFormula, Formula | None
     text = _read_input(args.path)
     if args.dimacs:
         # No DIMACS literal is ~bot, so no clause is dropped and every atom
-        # is in the implications' symbols, which extract_model reads.
+        # is in the implications' symbols.
         return text, parse_dimacs(text), None
     phi = parse_formula(text)
     return text, to_cnf(phi, max_clauses=args.max_clauses), phi
@@ -233,10 +235,10 @@ def _run_solver(args: argparse.Namespace):
     outcome = solve(horn, early_stop=True)
     model = None
     if outcome.satisfiable:
-        model = extract_model(horn, outcome.final_set)
-        if phi is not None:
-            for name in symbols(phi):
-                model.setdefault(name, 0)
+        # ``to_cnf`` adds no symbol, so ``symbols(phi)`` also names every
+        # atom of the implications.
+        names = horn_symbols(horn) if phi is None else symbols(phi)
+        model = {name: int(name in outcome.final_set) for name in sorted(names)}
     return text, horn, outcome, model, shortcut
 
 
@@ -354,17 +356,9 @@ def cli_main(argv: Sequence[str] | None = None) -> int:
     gc.disable()
     try:
         return args.handler(args)
-    except (
-        ParseError,
-        DimacsError,
-        NotHornError,
-        ClauseBudgetError,
-        SymbolCapError,
-        UnicodeDecodeError,
-        OSError,
-        MemoryError,
-    ) as exc:
-        # A MemoryError usually carries no message.
+    except (ValueError, OSError, MemoryError) as exc:
+        # Every input error of the package, and UnicodeDecodeError, is a
+        # ValueError.  A MemoryError usually carries no message.
         print(f"error: {str(exc) or type(exc).__name__}", file=sys.stderr)
         return EXIT_ERROR
     finally:

@@ -40,19 +40,17 @@ _NAME_RE = re.compile(_IDENTIFIER + r"\Z")
 _RESERVED = frozenset({"false", "bot", "true", "top"})
 
 
-def _record(init: bool = True) -> Callable[[type], type]:
-    """``dataclass(frozen=True, slots=True, init=init)``: a record without an
-    instance dict.  The generated ``__setattr__`` and ``__delattr__`` stay
-    tied to the class that the slotted one replaces, so they raise TypeError
-    for a name that is not a field (CPython 3.11); these two raise
-    FrozenInstanceError for every name, as an unslotted frozen one does."""
-
-    def make(cls: type) -> type:
-        cls = dataclass(frozen=True, slots=True, init=init)(cls)
-        cls.__setattr__, cls.__delattr__ = _frozen_setattr, _frozen_delattr
-        return cls
-
-    return make
+def _record(cls: type) -> type:
+    """``dataclass(frozen=True, slots=True)``: a record without an instance
+    dict, which keeps an ``__init__`` that the class or a base writes.  The
+    generated ``__setattr__`` and ``__delattr__`` stay tied to the class
+    that the slotted one replaces, so they raise TypeError for a name that
+    is not a field (CPython 3.11); these two raise FrozenInstanceError for
+    every name, as an unslotted frozen one does."""
+    init = not any("__init__" in vars(c) for c in cls.__mro__[:-1])
+    cls = dataclass(frozen=True, slots=True, init=init)(cls)
+    cls.__setattr__, cls.__delattr__ = _frozen_setattr, _frozen_delattr
+    return cls
 
 
 def _frozen_setattr(self: object, name: str, value: object) -> None:
@@ -63,12 +61,12 @@ def _frozen_delattr(self: object, name: str) -> None:
     raise FrozenInstanceError(f"cannot delete field {name!r}")
 
 
-@_record()
+@_record
 class Falsum:
     """The always-false constant."""
 
 
-@_record()
+@_record
 class Verum:
     """The always-true constant (abbreviates ``not falsum``)."""
 
@@ -77,7 +75,7 @@ class Verum:
 # ``__init__`` that stores each field through its slot descriptor's setter,
 # bound once below each class, which costs less than the generic call per
 # field of a generated frozen one.
-@_record(init=False)
+@_record
 class Atom:
     """A propositional symbol; two atoms are equal iff their names are."""
 
@@ -94,7 +92,7 @@ class Atom:
 _set_atom_name = Atom.name.__set__
 
 
-@_record(init=False)
+@_record
 class Not:
     operand: "Formula"
 
@@ -105,7 +103,7 @@ class Not:
 _set_not_operand = Not.operand.__set__
 
 
-@_record(init=False)
+@_record
 class _Binary:
     """The fields and constructor the four binary connectives share.  The
     subclasses reuse these two slots: since Python 3.11, a slotted dataclass
@@ -122,22 +120,22 @@ class _Binary:
 _set_left, _set_right = _Binary.left.__set__, _Binary.right.__set__
 
 
-@_record(init=False)
+@_record
 class Or(_Binary):
     pass
 
 
-@_record(init=False)
+@_record
 class And(_Binary):
     pass
 
 
-@_record(init=False)
+@_record
 class Implies(_Binary):
     pass
 
 
-@_record(init=False)
+@_record
 class Iff(_Binary):
     pass
 

@@ -42,14 +42,14 @@ class NotHornError(ValueError):
         super().__init__(f"clause {index} has more than one positive literal")
 
 
-@_record()
+@_record
 class Top:
     """The verum antecedent of a unit implication: the empty conjunction."""
 
     atoms: ClassVar[tuple[str, ...]] = ()
 
 
-@_record(init=False)
+@_record
 class Conj:
     """A nonempty conjunction of atoms (names or falsum), repeats kept."""
 
@@ -69,7 +69,7 @@ _set_conj_atoms = Conj.atoms.__set__
 Antecedent = Union[Top, Conj]
 
 
-@_record(init=False)
+@_record
 class HornImplication:
     antecedent: Antecedent
     consequent: str  # symbol name or BOT
@@ -85,7 +85,7 @@ _set_antecedent = HornImplication.antecedent.__set__
 _set_consequent = HornImplication.consequent.__set__
 
 
-@_record()
+@_record
 class HornFormula:
     """An ordered conjunction of implications.
 

@@ -55,7 +55,7 @@ class ClauseBudgetError(ValueError):
     """CNF conversion would exceed the configured clause budget."""
 
 
-@_record(init=False)
+@_record
 class Literal:
     """A possibly negated atom; ``atom`` is a symbol name or ``BOT``."""
 
@@ -82,7 +82,7 @@ BOT_LITERAL = Literal(BOT, positive=True)
 TOP_LITERAL = Literal(BOT, positive=False)
 
 
-@_record(init=False)
+@_record
 class Clause:
     """A disjunction of literals, in source order."""
 
@@ -109,7 +109,7 @@ class Clause:
 _set_clause_literals = Clause.literals.__set__
 
 
-@_record()
+@_record
 class CnfFormula:
     """A conjunction of clauses, in source order."""
 

@@ -57,7 +57,7 @@ SHORTCUT_NO_BOT_CONSEQUENT = "no implication has consequent bot"
 SHORTCUT_NO_TOP_ANTECEDENT = "no antecedent is top"
 
 
-@_record()
+@_record
 class TraceStep:
     """One engine step.
 
@@ -74,7 +74,7 @@ class TraceStep:
     remaining_after: int
 
 
-@_record()
+@_record
 class Trace:
     """One run: the implications, the start set and the input position of
     each firing, in order; equality, hash, copy and pickle cover just these.
@@ -122,7 +122,7 @@ class Trace:
         yield TraceStep(None, None, after, after, remaining)
 
 
-@_record()
+@_record
 class SolveOutcome:
     satisfiable: bool
     final_set: frozenset[str]

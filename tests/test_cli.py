@@ -28,6 +28,7 @@ from hornsat import (
     Top,
     extract_model,
     horn_from_clauses,
+    parse_dimacs,
     parse_formula,
     precheck,
     saturate,
@@ -36,6 +37,7 @@ from hornsat import (
     to_cnf,
 )
 from hornsat.cli import (
+    DEFAULT_CLAUSE_BUDGET,
     TraceDocument,
     _build_parser,
     build_trace_document,
@@ -47,13 +49,17 @@ from helpers import (
     SAT_CHAIN_TEXT,
     UNSAT_CHAIN_TEXT,
     UNSAT_SHORT_TEXT,
+    formula_strategy,
     planted_horn_dimacs,
+    random_dimacs_text,
     random_horn,
     reference_trace_json,
     reference_trace_text,
+    render,
     rule,
     unit,
 )
+from test_golden_cli import run_cli
 
 
 @pytest.fixture
@@ -192,6 +198,44 @@ def test_solve_dimacs_unsat(write, capsys):
     assert cli_main(["solve", path, "--dimacs"]) == 20
 
 
+def _extracted_model_line(text, dimacs):
+    """The model line of ``solve`` as ``extract_model`` plus a 0 for each
+    formula symbol that no implication names; None for UNSAT."""
+    phi = None if dimacs else parse_formula(text)
+    cnf = parse_dimacs(text) if dimacs else to_cnf(phi, max_clauses=DEFAULT_CLAUSE_BUDGET)
+    horn = horn_from_clauses(cnf)
+    outcome = solve(horn, early_stop=True)
+    if not outcome.satisfiable:
+        return None
+    model = extract_model(horn, outcome.final_set)
+    for name in () if phi is None else symbols(phi):
+        model.setdefault(name, 0)
+    return " ".join(f"{name}={model[name]}" for name in sorted(model))
+
+
+@given(
+    st.one_of(
+        formula_strategy().map(lambda phi: (render(phi), False)),
+        st.integers(0, 2**32).map(lambda seed: (random_dimacs_text(random.Random(seed)), True)),
+    )
+)
+@example(("(q | ~q) & p", False))  # q is only in a clause dropped as valid
+@example(("p cnf 3 2\n-1 2 0\n-2 0\n", True))  # x3 is in no clause, so unnamed
+def test_solve_model_names_every_input_symbol(case):
+    # The CLI names the model in one walk over the input's symbols.
+    text, dimacs = case
+    code, out, _ = run_cli(["solve", "-", *(["--dimacs"] if dimacs else [])], text)
+    try:
+        line = _extracted_model_line(text, dimacs)
+    except ValueError:
+        assert code == 1
+        return
+    if line is None:
+        assert (code, out) == (20, "UNSAT\n")
+    else:
+        assert (code, out) == (10, "SAT\n" + (line + "\n" if line else ""))
+
+
 def test_solve_clause_budget(write, capsys):
     assert cli_main(["solve", write("(a & b) | (c & d) | (e & f)"), "--max-clauses", "3"]) == 1
     assert "budget" in capsys.readouterr().err
@@ -302,6 +346,17 @@ def _assert_one_error_line(captured):
     assert captured.err.startswith("error: ")
     assert captured.err.count("\n") == 1
     assert "Traceback" not in captured.err
+
+
+@pytest.mark.parametrize("command", ["solve", "trace", "convert", "classify"])
+def test_closed_standard_input_is_an_error(monkeypatch, capsys, command):
+    # With file descriptor 0 closed (``hornsat solve - <&-``), Python sets
+    # ``sys.stdin`` to None.
+    monkeypatch.setattr("sys.stdin", None)
+    assert cli_main([command, "-"]) == 1
+    captured = capsys.readouterr()
+    _assert_one_error_line(captured)
+    assert captured.err == "error: standard input is closed\n"
 
 
 def test_undecodable_input_is_an_error(tmp_path, capsys):

@@ -9,7 +9,11 @@ and a file that is not UTF-8, so the handler's ``OSError`` and
 ``UnicodeDecodeError`` branches are covered too.  Rewriting it
 changes test data: list each changed run and its reason in CHANGES.md.
 Usage errors are checked by exit code only, since argparse's usage text
-changes between Python versions.
+changes between Python versions.  The runs of ``deep-biconditionals``,
+whose CNF exceeds the default clause budget, go through a child
+interpreter capped at 1 GiB of address space: should the budget stop
+holding, they end in a ``MemoryError`` digest mismatch instead of
+growing until the test process is killed.
 Regenerate both with ``PYTHONPATH=src python tests/test_golden_cli.py``,
 which prints the added, removed and changed ``input<TAB>command`` keys
 against the digest file it replaces, and the name of each changed text.
@@ -20,10 +24,14 @@ import difflib
 import hashlib
 import io
 import json
+import os
+import resource
+import subprocess
 import sys
 import tempfile
 from pathlib import Path
 
+import hornsat
 from hornsat.cli import cli_main
 
 from helpers import SAT_CHAIN_TEXT, UNSAT_CHAIN_TEXT, UNSAT_SHORT_TEXT, golden_cli_inputs
@@ -37,6 +45,9 @@ FORMULA_COMMANDS = (("classify",), ("solve", "--max-clauses", "8"), ("classify",
 # the relative path; ``None`` is a file that does not exist.
 PATH_INPUTS = (("missing-input.txt", None), ("non-utf8.txt", b"p \xff q"))
 PATH_COMMANDS = COMMANDS + (("classify",),)
+# The input whose runs go through :func:`run_digests_capped`.
+CAPPED_INPUT = "deep-biconditionals"
+MEMORY_CAP = 2**30
 USAGE_ERRORS = (
     ("solve", "-", "--max-clauses", "-1"),
     ("classify", "-", "--max-symbols", "x"),
@@ -93,6 +104,37 @@ def run_digest(argv, stdin_text):
     return code, hashlib.sha256(payload.encode("utf-8")).hexdigest()
 
 
+# Runs each ``(argv, stdin text)`` pair through ``run_digest`` and prints
+# the list of ``[exit code, digest]`` pairs as JSON.
+_CAPPED_SCRIPT = """
+import json, sys
+from test_golden_cli import run_digest
+json.dump([run_digest(argv, text) for argv, text in json.load(sys.stdin)], sys.stdout)
+"""
+
+
+def _cap_memory():
+    resource.setrlimit(resource.RLIMIT_AS, (MEMORY_CAP, MEMORY_CAP))
+
+
+def run_digests_capped(runs):
+    """``run_digest`` of each ``(argv, stdin text)`` pair in ``runs``, run
+    in a child interpreter limited to ``MEMORY_CAP`` bytes of address
+    space."""
+    paths = (str(Path(hornsat.__file__).parents[1]), str(Path(__file__).parent))
+    proc = subprocess.run(
+        [sys.executable, "-c", _CAPPED_SCRIPT],
+        input=json.dumps(runs),
+        capture_output=True,
+        text=True,
+        env={**os.environ, "PYTHONPATH": os.pathsep.join(paths)},
+        preexec_fn=_cap_memory,
+        timeout=120,
+    )
+    assert proc.returncode == 0, proc.stderr
+    return [tuple(result) for result in json.loads(proc.stdout)]
+
+
 def run_text(argv, stdin_text):
     """A run of ``cli_main(argv)`` laid out as its golden text file is."""
     code, stdout, stderr = run_cli(argv, stdin_text)
@@ -114,9 +156,14 @@ def golden_runs():
     """Yield ``(input name, command, exit code, digest)`` for every run of
     the corpus."""
     for name, text, dimacs in golden_cli_inputs():
-        for command in COMMANDS if dimacs else COMMANDS + FORMULA_COMMANDS:
-            argv = [*command, "-", *(("--dimacs",) if dimacs else ())]
-            yield name, " ".join(command), *run_digest(argv, text)
+        commands = COMMANDS if dimacs else COMMANDS + FORMULA_COMMANDS
+        runs = [[[*command, "-", *(("--dimacs",) if dimacs else ())], text] for command in commands]
+        if name == CAPPED_INPUT:
+            results = run_digests_capped(runs)
+        else:
+            results = [run_digest(argv, stdin_text) for argv, stdin_text in runs]
+        for command, result in zip(commands, results):
+            yield name, " ".join(command), *result
     with tempfile.TemporaryDirectory() as scratch, contextlib.chdir(scratch):
         for name, data in PATH_INPUTS:
             if data is not None:

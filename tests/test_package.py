@@ -130,6 +130,18 @@ def test_console_script_is_cli_main():
     assert getattr(importlib.import_module(module), name) is hornsat.cli.main
 
 
+def test_every_public_error_is_a_value_error():
+    # ``cli_main`` turns a ValueError into one ``error:`` line; an input
+    # error outside that base would escape it as a traceback.
+    errors = [
+        value
+        for value in map(vars(hornsat).get, hornsat.__all__)
+        if isinstance(value, type) and issubclass(value, BaseException)
+    ]
+    assert errors
+    assert [error.__name__ for error in errors if not issubclass(error, ValueError)] == []
+
+
 def test_public_names_are_exactly_these():
     assert sorted(hornsat.__all__) == [
         "And",
