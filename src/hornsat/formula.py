@@ -42,12 +42,16 @@ _RESERVED = frozenset({"false", "bot", "true", "top"})
 
 def _record(cls: type) -> type:
     """``dataclass(frozen=True, slots=True)``: a record without an instance
-    dict, which keeps an ``__init__`` that the class or a base writes.  The
+    dict, which keeps an ``__init__`` that the class or a base writes; one
+    that ``dataclass`` generated for a base is generated anew.  The
     generated ``__setattr__`` and ``__delattr__`` stay tied to the class
     that the slotted one replaces, so they raise TypeError for a name that
     is not a field (CPython 3.11); these two raise FrozenInstanceError for
     every name, as an unslotted frozen one does."""
-    init = not any("__init__" in vars(c) for c in cls.__mro__[:-1])
+    init = not any(
+        "__init__" in vars(c) and not getattr(vars(c).get("__dataclass_params__"), "init", False)
+        for c in cls.__mro__[:-1]
+    )
     cls = dataclass(frozen=True, slots=True, init=init)(cls)
     cls.__setattr__, cls.__delattr__ = _frozen_setattr, _frozen_delattr
     return cls

@@ -30,6 +30,7 @@ from hornsat import (
     solve,
 )
 from hornsat.cli import TraceDocument, build_trace_document
+from hornsat.formula import _Binary, _record
 
 from helpers import UNSAT_CHAIN_TEXT
 
@@ -122,6 +123,22 @@ def test_keyword_construction():
     assert HornImplication(antecedent=Top(), consequent="q") == HornImplication(Top(), "q")
     assert dataclasses.replace(Conj(("a", "b")), atoms=("c", "c")).atoms == ("c", "c")
     assert dataclasses.replace(Literal("p"), positive=False) == Literal("p", False)
+
+
+def test_a_record_keeps_only_a_written_constructor():
+    # Or takes the one _Binary writes; a record over a base whose
+    # constructor dataclass generated gets one that sets its own fields too.
+    assert "__init__" not in vars(Or) and "__init__" in vars(_Binary)
+
+    @_record
+    class Base:
+        a: int
+
+    @_record
+    class Sub(Base):
+        b: int
+
+    assert (Sub(1, 2).a, Sub(1, 2).b) == (1, 2)
 
 
 @pytest.mark.parametrize(
