@@ -14,11 +14,12 @@ import json
 import sys
 from bisect import bisect_right
 from functools import cache
-from typing import Callable, Iterator, Sequence
+from itertools import islice
+from typing import Callable, Iterable, Iterator, Sequence
 
 from .formula import Formula, _record, symbols
 from .horn import HornFormula, HornImplication, horn_from_clauses, horn_symbols
-from .normalform import TOP, Clause, CnfFormula, Literal, to_cnf
+from .normalform import TOP, CnfFormula, to_cnf
 from .oracle import DEFAULT_SYMBOL_CAP, classify
 from .parsing import parse_dimacs, parse_formula
 from .solver import SolveOutcome, Trace, precheck, solve
@@ -32,17 +33,29 @@ EXIT_ERROR = 1
 DEFAULT_CLAUSE_BUDGET = 100_000
 
 
-def _render_literal(lit: Literal) -> str:
-    return lit.atom if lit.positive else "~" + lit.atom
+def _clause_lines(cnf: CnfFormula) -> Iterator[str]:
+    """Each clause as ``convert`` prints it, from the codes."""
+    names = cnf._names
+    literals = [text for name in names for text in (name, "~" + name)]  # by code
+    literal, codes = literals.__getitem__, iter(cnf._codes)
+    for size in cnf._sizes:
+        yield " | ".join(map(literal, islice(codes, size)))
 
 
-def _render_clause(clause: Clause) -> str:
-    return " | ".join(_render_literal(lit) for lit in clause.literals)
+def _implication_text(atoms: Iterable[str], consequent: str) -> str:
+    return f"{' & '.join(atoms) or TOP} -> {consequent}"
 
 
 def render_implication(imp: HornImplication) -> str:
-    left = " & ".join(imp.antecedent.atoms) or TOP
-    return f"{left} -> {imp.consequent}"
+    return _implication_text(imp.antecedent.atoms, imp.consequent)
+
+
+def _implication_lines(horn: HornFormula) -> Iterator[str]:
+    """Each implication as ``render_implication`` prints it, from the codes."""
+    names, body = horn._names, iter(horn._body)
+    atom = names.__getitem__
+    for head, size in zip(horn._heads, horn._sizes):
+        yield _implication_text(map(atom, islice(body, size)), names[head])
 
 
 def _rendered_sets(
@@ -58,13 +71,13 @@ def _rendered_sets(
     each distinct set is rendered once.  The member set answers that faster
     than a search of the sorted list when most firings repeat an atom.
     """
-    implications, members = trace.implications, set(trace.start)
+    members = set(trace.start)
     atoms = sorted(members)
     items = [encode(atom) for atom in atoms]
     after = render(items)
-    remaining = len(implications)
-    for index in trace.fired:
-        before, consequent = after, implications[index].consequent
+    remaining = trace.formula.n
+    for index, consequent in zip(trace.fired, trace._consequents()):
+        before = after
         if consequent not in members:
             members.add(consequent)
             position = bisect_right(atoms, consequent)
@@ -192,7 +205,7 @@ def build_trace_document(
 ) -> TraceDocument:
     return TraceDocument(
         input_formula=input_text.strip(),
-        horn_form=tuple(render_implication(imp) for imp in horn.implications),
+        horn_form=tuple(_implication_lines(horn)),
         steps=outcome.trace,
         final_set=tuple(sorted(outcome.final_set)),
         verdict="SAT" if outcome.satisfiable else "UNSAT",
@@ -265,12 +278,12 @@ def _cmd_trace(args: argparse.Namespace) -> int:
 def _cmd_convert(args: argparse.Namespace) -> int:
     _, cnf, _ = _load_cnf(args)
     print("clauses:")
-    for clause in cnf.clauses:
-        print(f"  {_render_clause(clause)}")
+    for line in _clause_lines(cnf):
+        print(f"  {line}")
     horn = horn_from_clauses(cnf)
     print("horn:")
-    for imp in horn.implications:
-        print(f"  {render_implication(imp)}")
+    for line in _implication_lines(horn):
+        print(f"  {line}")
     return 0
 
 

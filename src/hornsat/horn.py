@@ -7,14 +7,32 @@ the empty conjunction: :class:`Top` has no atoms, so every reader takes
 an antecedent's ``atoms`` without asking which kind it is.  Antecedents
 keep their clause's negative atoms in order, repeats included.  A Horn
 formula is an ordered conjunction of such implications.
+
+A :class:`HornFormula` holds its implications as atom codes on a name
+table, as a :class:`CnfFormula` holds its clauses, and builds the
+:class:`HornImplication` objects only when ``implications`` is read;
+:func:`horn_from_clauses` reads clause codes and writes implication codes.
 """
 
 from __future__ import annotations
 
+from itertools import islice
 from typing import ClassVar, Iterable, Union
 
 from .formula import And, Formula, Implies, Verum, _join, _record
-from .normalform import BOT, TOP, TOP_LITERAL, Clause, CnfFormula, _token_formula, to_cnf
+from .normalform import (
+    _BOT_ATOM,
+    _TOP_CODE,
+    BOT,
+    TOP,
+    TOP_LITERAL,
+    Clause,
+    CnfFormula,
+    _coded,
+    _no_attribute,
+    _token_formula,
+    to_cnf,
+)
 
 __all__ = [
     "Antecedent",
@@ -91,13 +109,68 @@ class HornFormula:
 
     The empty sequence marks the trivially true formula that remains when
     every clause of the source was dropped as valid.
+
+    It holds them as codes on the atom table ``_names``, where atom 0 is
+    falsum: ``_heads`` has each consequent's atom, ``_body`` the
+    antecedents' atoms end to end and ``_sizes`` their lengths, 0 for
+    :class:`Top`.  It is built from ``implications``, which it encodes
+    once, or by the package's own passes from ``coded``, those four
+    tables, when ``implications`` is built the first time it is read.
+    Equality, hash, copies and pickles go by ``implications``.
     """
 
     implications: tuple[HornImplication, ...]
+    _names: tuple[str, ...] = _coded()
+    _heads: tuple[int, ...] = _coded()
+    _body: tuple[int, ...] = _coded()
+    _sizes: tuple[int, ...] = _coded()
+
+    def __init__(
+        self,
+        implications: tuple[HornImplication, ...] | None = None,
+        *,
+        coded: tuple[tuple, ...] | None = None,
+    ) -> None:
+        if coded is None:
+            code_of = {BOT: 0}
+            heads = [code_of.setdefault(imp.consequent, len(code_of)) for imp in implications]
+            body = [
+                code_of.setdefault(atom, len(code_of))
+                for imp in implications
+                for atom in imp.antecedent.atoms
+            ]
+            sizes = tuple(len(imp.antecedent.atoms) for imp in implications)
+            coded = tuple(code_of), tuple(heads), tuple(body), sizes
+            _set_implications(self, implications)
+        _set_horn_names(self, coded[0])
+        _set_heads(self, coded[1])
+        _set_body(self, coded[2])
+        _set_horn_sizes(self, coded[3])
+
+    def __getattr__(self, name: str):
+        # Reached only for an unset slot: ``implications`` of a formula
+        # built from codes, until it is first read.
+        if name != "implications":
+            raise _no_attribute(self, name)
+        names, body = self._names, iter(self._body)
+        atom = names.__getitem__
+        implications = tuple(
+            HornImplication(Conj(map(atom, islice(body, size))) if size else _TOP, names[head])
+            for head, size in zip(self._heads, self._sizes)
+        )
+        _set_implications(self, implications)
+        return implications
 
     @property
     def n(self) -> int:
-        return len(self.implications)
+        return len(self._heads)
+
+
+_set_implications = HornFormula.implications.__set__
+_set_horn_names = HornFormula._names.__set__
+_set_heads = HornFormula._heads.__set__
+_set_body = HornFormula._body.__set__
+_set_horn_sizes = HornFormula._sizes.__set__
 
 
 def is_basic_horn(clause: Clause) -> bool:
@@ -121,7 +194,7 @@ def basic_to_implication(clause: Clause) -> HornImplication:
     return horn_from_clauses(CnfFormula((clause,))).implications[0]
 
 
-# Shared by every unit implication that horn_from_clauses builds.
+# Shared by every unit implication built from codes.
 _TOP = Top()
 
 
@@ -134,31 +207,33 @@ def horn_from_clauses(cnf: CnfFormula) -> HornFormula:
     clause that has two or more distinct positive literals; a repeated
     positive literal counts once, as it does in :func:`to_cnf`.
 
-    Each clause is read once and its negative atoms are taken as they are,
-    repeats included: its positive and negative atoms are collected until
-    a verum literal drops it.
+    Clause codes become implication codes on the same atom table: a
+    clause's negative atoms are its antecedent as they are, repeats
+    included, and its positive atom, or falsum, is the consequent.
     """
-    implications: list[HornImplication] = []
-    for index, clause in enumerate(cnf.clauses):
-        positives: list[str] = []
-        negatives: list[str] = []
-        for lit in clause.literals:
-            if lit.positive:
-                positives.append(lit.atom)
-            elif lit.atom == BOT:
-                break
-            else:
-                negatives.append(lit.atom)
-        else:
-            if len(positives) > 1 and len(set(positives)) > 1:
-                raise NotHornError(index, clause)
-            implications.append(
-                HornImplication(
-                    Conj(negatives) if negatives else _TOP,
-                    positives[0] if positives else BOT,
-                )
-            )
-    return HornFormula(tuple(implications))
+    codes = cnf._codes
+    heads: list[int] = []
+    body: list[int] = []
+    sizes: list[int] = []
+    add_atom = body.append
+    end = 0
+    for index, size in enumerate(cnf._sizes):
+        start, end = end, end + size
+        clause = codes[start:end]
+        if _TOP_CODE in clause:
+            continue
+        head = -1  # the positive literal's code, once one is read
+        antecedent_start = len(body)
+        for code in clause:
+            if code & 1:
+                add_atom(code >> 1)
+            elif head < 0:
+                head = code
+            elif code != head:
+                raise NotHornError(index, cnf._clause(index))
+        heads.append(head >> 1 if head > 0 else _BOT_ATOM)
+        sizes.append(len(body) - antecedent_start)
+    return HornFormula(coded=(cnf._names, tuple(heads), tuple(body), tuple(sizes)))
 
 
 def horn_from_formula(phi: Formula, max_clauses: int | None = None) -> HornFormula:
@@ -168,11 +243,10 @@ def horn_from_formula(phi: Formula, max_clauses: int | None = None) -> HornFormu
 
 def horn_symbols(phi: HornFormula) -> set[str]:
     """Propositional symbol names occurring in ``phi`` (constants excluded)."""
-    found = {imp.consequent for imp in phi.implications}
-    for imp in phi.implications:
-        found.update(imp.antecedent.atoms)
-    found.discard(BOT)
-    return found
+    atoms = set(phi._heads)
+    atoms.update(phi._body)
+    atoms.discard(_BOT_ATOM)
+    return set(map(phi._names.__getitem__, atoms))
 
 
 def implication_to_formula(imp: HornImplication) -> Formula:

@@ -15,14 +15,23 @@ any nesting, is flattened and combined left to right, so that a
 right-nested chain costs no more than a left-nested one.  A
 biconditional is read as the conjunction of both implications, or when
 negative as ``(a & ~b) | (~a & b)``.  No negation normal form tree is
-built, and clauses are lists of int literal codes until the final
-simplification maps each code to its ``Literal``.
+built.
+
+Clauses are int literal codes throughout, as in MiniSat (Een and
+Sorensson, "An Extensible SAT-solver", SAT 2003): atom ``k`` of a
+formula's name table is the code ``2k`` as a positive literal and
+``2k + 1`` negated, and atom 0 is falsum.  A :class:`CnfFormula` holds the
+table, the clauses' codes end to end and each clause's length, and builds
+its :class:`Clause` objects only when ``clauses`` is read.
 
 The falsum constant is an atomic formula here, so it may appear inside
 literals; the verum literal is the negation of falsum.
 """
 
 from __future__ import annotations
+
+from dataclasses import field
+from itertools import islice
 
 from .formula import And, Atom, Falsum, Formula, Iff, Implies, Not, Or, Valuation, Verum, _join, _record
 
@@ -109,11 +118,83 @@ class Clause:
 _set_clause_literals = Clause.literals.__set__
 
 
+# Literal codes: atom ``k`` of a name table is ``2k`` positive and
+# ``2k + 1`` negated.  Atom 0 is falsum, so code 0 is ``BOT_LITERAL`` and
+# code 1 ``TOP_LITERAL``.
+_BOT_ATOM = 0
+_BOT_CODE = 0
+_TOP_CODE = 1
+
+
+def _literal(names: tuple[str, ...], code: int) -> Literal:
+    """The literal of ``code`` on the atom table ``names``."""
+    return Literal(names[code >> 1], not code & 1)
+
+
+def _coded():
+    """A record field that holds codes: set by the constructors and left
+    out of the generated ``__init__``, ``repr`` and comparisons, which go
+    by the objects the codes stand for."""
+    return field(init=False, repr=False, compare=False)
+
+
+def _no_attribute(record: object, name: str) -> AttributeError:
+    return AttributeError(f"{type(record).__name__!r} object has no attribute {name!r}")
+
+
 @_record
 class CnfFormula:
-    """A conjunction of clauses, in source order."""
+    """A conjunction of clauses, in source order.
+
+    It holds them as literal codes: ``_names`` is the atom table, ``_codes``
+    the clauses' codes end to end and ``_sizes`` their lengths.  It is
+    built from ``clauses``, which it encodes once, or by the package's own
+    passes from ``coded``, those three tables, when ``clauses`` is built
+    the first time it is read.  Equality, hash, copies and pickles go by
+    ``clauses``.
+    """
 
     clauses: tuple[Clause, ...]
+    _names: tuple[str, ...] = _coded()
+    _codes: tuple[int, ...] = _coded()
+    _sizes: tuple[int, ...] = _coded()
+
+    def __init__(
+        self,
+        clauses: tuple[Clause, ...] | None = None,
+        *,
+        coded: tuple[tuple, ...] | None = None,
+    ) -> None:
+        if coded is None:
+            code_of = {BOT: 0}
+            codes = [
+                2 * code_of.setdefault(lit.atom, len(code_of)) + (not lit.positive)
+                for clause in clauses
+                for lit in clause.literals
+            ]
+            coded = tuple(code_of), tuple(codes), tuple(len(c.literals) for c in clauses)
+            _set_clauses(self, clauses)
+        _set_cnf_names(self, coded[0])
+        _set_cnf_codes(self, coded[1])
+        _set_cnf_sizes(self, coded[2])
+
+    def __getattr__(self, name: str):
+        # Reached only for an unset slot: ``clauses`` of a formula built
+        # from codes, until it is first read.
+        if name != "clauses":
+            raise _no_attribute(self, name)
+        names = self._names
+        literals = {code: _literal(names, code) for code in set(self._codes)}
+        literal_of, codes = literals.__getitem__, iter(self._codes)
+        clauses = tuple(Clause(tuple(map(literal_of, islice(codes, size)))) for size in self._sizes)
+        _set_clauses(self, clauses)
+        return clauses
+
+    def _clause(self, index: int) -> Clause:
+        """Clause ``index``, built alone."""
+        start = sum(islice(self._sizes, index))
+        codes = self._codes[start : start + self._sizes[index]]
+        return Clause(tuple(_literal(self._names, code) for code in codes))
 
     # Clause by clause, not ``evaluate(self.to_formula(), ...)``: building
     # the readback for every row took the 500-formula CNF equivalence check
@@ -126,19 +207,19 @@ class CnfFormula:
         return 1
 
     def symbols(self) -> set[str]:
-        return {lit.atom for clause in self.clauses for lit in clause.literals if lit.atom != BOT}
+        atoms = {code >> 1 for code in self._codes}
+        atoms.discard(_BOT_ATOM)
+        return set(map(self._names.__getitem__, atoms))
 
     def to_formula(self) -> Formula:
         return _join(And, map(Clause.to_formula, self.clauses), Verum())
 
 
-# Clauses are built as lists of small int literal codes, one per distinct
-# (atom, positive) pair, interned once per leaf occurrence: a blowup repeats
-# the same few literals across hundreds of thousands of clauses, and ints
-# hash and compare cheaper than tuples.  Code 0 is ``BOT_LITERAL`` and
-# code 1 ``TOP_LITERAL``.
-_BOT_CODE = 0
-_TOP_CODE = 1
+_set_clauses = CnfFormula.clauses.__set__
+_set_cnf_names = CnfFormula._names.__set__
+_set_cnf_codes = CnfFormula._codes.__set__
+_set_cnf_sizes = CnfFormula._sizes.__set__
+
 
 # Work-stack markers: combine the two clause lists on top of the value stack.
 _CONCAT = object()
@@ -170,16 +251,16 @@ def _chain_operands(node: Formula, positive: bool) -> list[tuple[Formula, bool]]
     return operands
 
 
-def _clause_lists(phi: Formula, budget: int | None) -> tuple[list[list[int]], list[Literal]]:
+def _clause_lists(phi: Formula, budget: int | None) -> tuple[list[list[int]], list[str]]:
     """The clauses of ``phi`` as lists of literal codes, in source order,
-    and the literal of each code.
+    and the name table of their atoms.
 
     Every clause list on the value stack, and every clause in it, has
     exactly one owner, so concatenation and a product with a single
     right-hand clause extend in place.
     """
-    literals = [BOT_LITERAL, TOP_LITERAL]
-    code_of: dict[tuple[str, bool], int] = {}
+    names = [BOT]
+    atom_of: dict[str, int] = {}
     todo: list[tuple[object, bool]] = [(phi, True)]
     values: list[list[list[int]]] = []
     while todo:
@@ -203,12 +284,11 @@ def _clause_lists(phi: Formula, budget: int | None) -> tuple[list[list[int]], li
             else:
                 values.append([lc + rc for lc in left for rc in right])
         elif isinstance(node, Atom):
-            key = (node.name, positive)
-            code = code_of.get(key)
-            if code is None:
-                code = code_of[key] = len(literals)
-                literals.append(Literal(*key))
-            values.append([[code]])
+            atom = atom_of.get(node.name)
+            if atom is None:
+                atom = atom_of[node.name] = len(names)
+                names.append(node.name)
+            values.append([[2 * atom + (not positive)]])
         elif isinstance(node, Falsum):
             values.append([[_BOT_CODE if positive else _TOP_CODE]])
         elif isinstance(node, Verum):
@@ -235,7 +315,7 @@ def _clause_lists(phi: Formula, budget: int | None) -> tuple[list[list[int]], li
     # A single leaf, however negated, never reaches a combine marker.
     if budget is not None and len(values[0]) > budget:
         raise ClauseBudgetError(f"conversion exceeds the budget of {budget} clauses")
-    return values[0], literals
+    return values[0], names
 
 
 def to_cnf(phi: Formula, max_clauses: int | None = None) -> CnfFormula:
@@ -247,22 +327,23 @@ def to_cnf(phi: Formula, max_clauses: int | None = None) -> CnfFormula:
     dropped from clauses that have other literals.  If every clause is
     dropped, the single verum clause remains.
     """
-    raw, literals = _clause_lists(phi, max_clauses)
-    literal_at = literals.__getitem__
-    clauses: list[Clause] = []
-    for codes in raw:
-        if _TOP_CODE in codes:
+    raw, names = _clause_lists(phi, max_clauses)
+    codes: list[int] = []
+    sizes: list[int] = []
+    for clause in raw:
+        if _TOP_CODE in clause:
             continue
         # Rebuilt only when there is something to drop: on the seed-1
         # formula_cnf pool no clause of 146,655 repeats a literal and 1.9%
         # carry falsum beside another literal, and skipping the dict took
         # this loop from 0.40 s to 0.31 s (collector off, 2-vCPU VM).
-        if _BOT_CODE in codes or len(set(codes)) < len(codes):
-            kept = dict.fromkeys(codes)
+        if _BOT_CODE in clause or len(set(clause)) < len(clause):
+            kept = dict.fromkeys(clause)
             if len(kept) > 1:
                 kept.pop(_BOT_CODE, None)
-            codes = kept
-        clauses.append(Clause(tuple(map(literal_at, codes))))
-    if not clauses:
-        clauses.append(Clause((TOP_LITERAL,)))
-    return CnfFormula(tuple(clauses))
+            clause = kept
+        codes += clause
+        sizes.append(len(clause))
+    if not sizes:
+        codes, sizes = [_TOP_CODE], [1]
+    return CnfFormula(coded=(tuple(names), tuple(codes), tuple(sizes)))

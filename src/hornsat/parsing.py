@@ -12,18 +12,21 @@ worked out only for an error: line and column of the failing lexeme, or of
 the first character in the text that starts no token.
 
 :func:`parse_dimacs` sorts the lines in one loop, converts the clause
-tokens of the whole file in one ``map(int, ...)`` and checks their range
-with one ``max`` and one ``min``; it too works out line numbers only for an
-error, by reading the lines again.
+tokens of the whole file in one ``map(int, ...)``, checks their range with
+one ``max`` and one ``min`` and maps them to literal codes in one more
+``map``; it too works out line numbers only for an error, by reading the
+lines again.
 """
 
 from __future__ import annotations
 
 import re
+from itertools import count
+from operator import neg
 from typing import Sequence
 
 from .formula import _IDENTIFIER, And, Atom, Falsum, Formula, Iff, Implies, Not, Or, Verum
-from .normalform import BOT_LITERAL, Clause, CnfFormula, Literal
+from .normalform import _BOT_CODE, BOT, CnfFormula
 
 __all__ = [
     "DimacsError",
@@ -184,8 +187,9 @@ def parse_dimacs(text: str) -> CnfFormula:
     outside the declared range, or a clause without its 0 terminator.
 
     One loop sorts the lines and gathers the clause tokens; one ``int``
-    conversion and one range check then cover the whole file, and the
-    clauses are cut at the zeros.  Line numbers are worked out only for an
+    conversion, one range check and one mapping to literal codes then cover
+    the whole file, and the clauses are cut at the zeros.  No
+    :class:`Clause` is built here.  Line numbers are worked out only for an
     error, by reading the lines again (:func:`_dimacs_error`).
     """
     declared_vars: int | None = None
@@ -210,27 +214,31 @@ def parse_dimacs(text: str) -> CnfFormula:
     except ValueError:
         raise _dimacs_error(text) from None
     del tokens  # kept beside the clauses, the strings would set the peak memory
-    if values and (max(values) > declared_vars or min(values) < -declared_vars):
+    numbers = set(values)
+    if numbers and (max(numbers) > declared_vars or min(numbers) < -declared_vars):
         raise _dimacs_error(text)
-    # One Literal per signed variable.
-    literals = {value: Literal(f"x{abs(value)}", value > 0) for value in set(values) if value}
-    literal_of = literals.__getitem__
-    clauses: list[Clause] = []
+    # Atom k of the table is the k-th variable that occurs, by number; a 0
+    # terminator maps to code 0, which is falsum only in an empty clause.
+    variables = sorted(set(map(abs, numbers)).difference((0,)))
+    code_of = dict(zip(variables, count(2, 2)))
+    code_of.update(zip(map(neg, variables), count(3, 2)))
+    code_of[0] = _BOT_CODE
+    values = list(map(code_of.__getitem__, values))  # codes, terminators included
+    codes: list[int] = []
+    sizes: list[int] = []
     find_zero = values.index
     start = 0
     for _ in range(values.count(0)):
         end = find_zero(0, start)
-        if end == start:
-            clauses.append(Clause((BOT_LITERAL,)))
-        else:
-            pending = values[start:end]
-            if len(set(pending)) < len(pending):  # cheaper than a dict per clause
-                pending = dict.fromkeys(pending)
-            clauses.append(Clause(tuple(map(literal_of, pending))))
+        clause = values[start : end + 1] if end == start else values[start:end]
+        if len(set(clause)) < len(clause):  # cheaper than a dict per clause
+            clause = dict.fromkeys(clause)
+        codes += clause
+        sizes.append(len(clause))
         start = end + 1
     if start < len(values):
         raise _dimacs_error(text)
-    return CnfFormula(tuple(clauses))
+    return CnfFormula(coded=((BOT, *map("x{}".format, variables)), tuple(codes), tuple(sizes)))
 
 
 def _dimacs_int(token: str) -> int:

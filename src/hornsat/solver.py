@@ -13,9 +13,11 @@ for any firing order, and a run over n implications takes at most n
 firings plus one terminal step.
 
 The engine follows the linear-time scheme of Dowling and Gallier without
-rescanning.  Its invariant: an unfired implication's count is the number
-of its antecedent atoms not in the set, one per occurrence, and each such
-atom lists the implications that miss it.  Only consequents can enter the
+rescanning, on the formula's atom codes: the set is a ``bytearray`` with a
+flag per atom, and no implication object is built.  Its invariant: an
+unfired implication's count is the number of its antecedent atoms not in
+the set, one per occurrence, and each such atom lists the implications
+that miss it, in a list indexed by atom.  Only consequents can enter the
 set, so counting stops at a missing atom that is none: the count stays
 positive.  When an atom enters, the counts on its list drop by one, and an
 implication whose count reaches zero puts its input position on a
@@ -26,21 +28,21 @@ decremented at most once: O(total antecedent size + n log n) time.
 A run is stored as the paper's recursion determines it: each call fires
 the leftmost fireable implication and adds its consequent, so the start
 set and the firings' input positions, in order, are the whole run.  A
-:class:`Trace` stores these and the implications, compares and hashes by
-those three, and builds steps only when read (one forward replay to
-iterate or reverse), so a run that reads no trace does linear work and
-keeps one int per firing.
+:class:`Trace` stores these and the formula, compares and hashes by those
+three, and builds steps only when read (one forward replay to iterate or
+reverse), so a run that reads no trace does linear work and keeps one int
+per firing.
 """
 
 from __future__ import annotations
 
 from collections.abc import Iterable, Iterator
 from heapq import heappop, heappush
-from itertools import islice
+from itertools import compress, islice
 
 from .formula import _record
 from .horn import HornFormula, HornImplication, horn_symbols
-from .normalform import BOT, TOP
+from .normalform import _BOT_ATOM, BOT, TOP
 
 __all__ = [
     "SHORTCUT_NO_BOT_CONSEQUENT",
@@ -76,8 +78,8 @@ class TraceStep:
 
 @_record
 class Trace:
-    """One run: the implications, the start set and the input position of
-    each firing, in order; equality, hash, copy and pickle cover just these.
+    """One run: the formula, the start set and the input position of each
+    firing, in order; equality, hash, copy and pickle cover just these.
 
     It reads like the tuple of its steps (:class:`TraceStep`), each built
     when read, with a terminal step after the last firing: ``len``, indexing
@@ -88,9 +90,13 @@ class Trace:
     (``set_after is set_before``) when a firing adds nothing.
     """
 
-    implications: tuple[HornImplication, ...]
+    formula: HornFormula
     start: frozenset[str]
     fired: tuple[int, ...]
+
+    @property
+    def implications(self) -> tuple[HornImplication, ...]:
+        return self.formula.implications
 
     def __len__(self) -> int:
         return len(self.fired) + 1
@@ -109,12 +115,17 @@ class Trace:
     def __reversed__(self) -> Iterator[TraceStep]:
         return reversed(self[:])
 
+    def _consequents(self) -> Iterator[str]:
+        """The consequent of each firing, in order."""
+        names, heads = self.formula._names, self.formula._heads
+        return (names[heads[index]] for index in self.fired)
+
     def _steps(self, k: int = 0) -> Iterator[TraceStep]:
-        implications, fired = self.implications, self.fired
-        after = self.start.union(implications[index].consequent for index in islice(fired, k))
-        remaining = len(implications) - k
-        for index in islice(fired, k, None):
-            before, consequent = after, implications[index].consequent
+        consequents = self._consequents()
+        after = self.start.union(islice(consequents, k))
+        remaining = self.formula.n - k
+        for index, consequent in zip(islice(self.fired, k, None), consequents):
+            before = after
             if consequent not in before:
                 after = before | {consequent}
             remaining -= 1
@@ -145,35 +156,49 @@ def saturate(
     start = frozenset(start)
     if TOP not in start:
         raise ValueError("the start set must contain the verum token")
-    current = set(start)
-    implications = phi.implications
+    current = bytearray(map(start.__contains__, phi._names))
+    # The run's working lists are gone before the final set grows.
+    fired = tuple(_fire(phi, current, early_stop))
+    return start.union(compress(phi._names, current)), Trace(phi, start, fired)
+
+
+def _fire(phi: HornFormula, current: bytearray, early_stop: bool) -> list[int]:
+    """Fire implications of ``phi`` on ``current``, the set as a flag per
+    atom, until none is fireable (or, with ``early_stop``, falsum is in
+    it); the input positions fired, in order."""
+    heads, body, sizes = phi._heads, phi._body, phi._sizes
+    waiting: list[list[int] | None] = [None] * len(current)
+    for head in heads:
+        waiting[head] = []
     missing: list[int] = []  # per implication: antecedent atoms not in the set
-    waiting: dict[str, list[int]] = {imp.consequent: [] for imp in implications}
     fireable: list[int] = []  # a min-heap of input positions
-    for index, imp in enumerate(implications):
+    end = 0
+    for index, size in enumerate(sizes):
+        start, end = end, end + size
         count = 0
-        for atom in imp.antecedent.atoms:
-            if atom not in current:
+        for atom in body[start:end]:
+            if not current[atom]:
                 count += 1
-                if atom not in waiting:
+                waiters = waiting[atom]
+                if waiters is None:
                     break  # never enters the set, so this one never fires
-                waiting[atom].append(index)
+                waiters.append(index)
         missing.append(count)
         if not count:
             fireable.append(index)  # in ascending order, so already a heap
 
     fired: list[int] = []
-    while fireable and not (early_stop and BOT in current):
+    while fireable and not (early_stop and current[_BOT_ATOM]):
         index = heappop(fireable)
-        consequent = implications[index].consequent
-        if consequent not in current:
-            current.add(consequent)
-            for waiter in waiting.pop(consequent, ()):
+        head = heads[index]
+        if not current[head]:
+            current[head] = 1
+            for waiter in waiting[head]:
                 missing[waiter] -= 1
                 if not missing[waiter]:
                     heappush(fireable, waiter)
         fired.append(index)
-    return frozenset(current), Trace(implications, start, tuple(fired))
+    return fired
 
 
 def solve(phi: HornFormula, early_stop: bool = False) -> SolveOutcome:
@@ -193,9 +218,9 @@ def precheck(phi: HornFormula) -> tuple[str, ...]:
     fire from {verum}, so saturation stops immediately at {verum}.
     """
     reasons = []
-    if all(imp.consequent != BOT for imp in phi.implications):
+    if _BOT_ATOM not in phi._heads:
         reasons.append(SHORTCUT_NO_BOT_CONSEQUENT)
-    if all(imp.antecedent.atoms for imp in phi.implications):
+    if 0 not in phi._sizes:  # no antecedent is empty
         reasons.append(SHORTCUT_NO_TOP_ANTECEDENT)
     return tuple(reasons)
 

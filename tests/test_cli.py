@@ -22,9 +22,11 @@ from hornsat import (
     SHORTCUT_NO_BOT_CONSEQUENT,
     SHORTCUT_NO_TOP_ANTECEDENT,
     TOP,
+    Clause,
     Conj,
     HornFormula,
     HornImplication,
+    Literal,
     Top,
     extract_model,
     horn_from_clauses,
@@ -171,8 +173,9 @@ def test_solve_large_dimacs_file(tmp_path, capsys):
     verdict, model = capsys.readouterr().out.splitlines()
     assert verdict == "SAT"
     assert {entry[:-2] for entry in model.split() if entry.endswith("=1")} == planted
-    # About 4 s on a 2-vCPU VM; a pass quadratic in the clause count would
-    # take hours.
+    # The solve takes 2.9-3.2 s on a 2-vCPU VM (3.9-4.4 s when clauses and
+    # implications were records); generating the input takes 10-11 s more.
+    # A pass quadratic in the clause count would take hours.
     assert elapsed < 60.0
 
 
@@ -188,9 +191,62 @@ def test_solve_dimacs_peak_memory(tmp_path, capsys):
     finally:
         tracemalloc.stop()
     assert capsys.readouterr().out.startswith("SAT\n")
-    # Slotted clauses, literals and implications: 13.1 MiB, against 16.8 MiB
-    # when each record carried an instance dict (CPython 3.11).
-    assert peak < 14.5 * 2**20
+    # Clauses and implications as int codes: 10.3-10.5 MiB on CPython 3.11,
+    # 10.1-10.5 MiB on 3.12 and 3.13, against 11.0-11.2 MiB when each was a
+    # slotted record, and 16.8 MiB when each record carried an instance dict.
+    assert peak < 11.5 * 2**20
+
+
+@pytest.fixture
+def built(monkeypatch):
+    """Every ``Clause``, ``Literal``, ``Conj`` and ``HornImplication`` built
+    from here on, in order."""
+    records = []
+    for cls in (Clause, Literal, Conj, HornImplication):
+
+        def counted(self, *args, _init=cls.__init__, **kwargs):
+            _init(self, *args, **kwargs)
+            records.append(self)
+
+        monkeypatch.setattr(cls, "__init__", counted)
+    return records
+
+
+@pytest.mark.parametrize(
+    "argv, text",
+    [
+        (["solve", "--dimacs"], "p cnf 4 4\n1 0\n-1 2 0\n-2 -3 4 0\n-4 -1 0\n"),
+        (["solve", "--dimacs"], "p cnf 3 3\n1 0\n-1 2 0\n-3 -2 0\n"),
+        (["solve"], "p & (p -> q) & (q & r -> s) & (s -> false)\n"),
+        (["solve"], "(p -> q) & p & ~r\n"),
+        (["trace"], "p & (p -> q) & (q -> false)\n"),
+        (["trace", "--json", "--dimacs"], "p cnf 2 2\n1 0\n-1 2 0\n"),
+        (["convert"], "(p | ~q) & ~(p & r) & true\n"),
+        (["convert", "--dimacs"], "p cnf 2 3\n1 0\n-1 2 0\n0\n"),
+    ],
+)
+def test_horn_runs_build_no_clause_or_implication(built, argv, text):
+    # Clauses and implications stay codes from the parser to the output.
+    code, out, _ = run_cli([*argv, "-"], text)
+    assert code in (0, 10, 20) and out
+    assert built == []
+
+
+@pytest.mark.parametrize(
+    "argv, text",
+    [
+        (["solve", "--dimacs"], "p cnf 3 3\n1 0\n-1 2 3 0\n-2 0\n"),
+        (["solve"], "p & (p -> q | r)\n"),
+        (["trace", "--dimacs"], "p cnf 2 1\n1 2 0\n"),
+        (["convert"], "(p -> q) & (p | q)\n"),
+    ],
+)
+def test_non_horn_runs_build_only_the_error_clause(built, argv, text):
+    code, _, err = run_cli([*argv, "-"], text)
+    assert code == 1 and err.endswith("has more than one positive literal\n")
+    *literals, clause = built
+    assert type(clause) is Clause and clause.literals == tuple(literals)
+    assert all(type(lit) is Literal for lit in literals)
 
 
 def test_solve_dimacs_unsat(write, capsys):
