@@ -15,10 +15,10 @@ import sys
 from bisect import bisect_right
 from functools import cache
 from itertools import islice
-from typing import Callable, Iterable, Iterator, Sequence
+from typing import Callable, Iterator, Sequence
 
 from .formula import Formula, _record, symbols
-from .horn import HornFormula, HornImplication, horn_from_clauses, horn_symbols
+from .horn import HornFormula, horn_from_clauses, horn_symbols
 from .normalform import TOP, CnfFormula, to_cnf
 from .oracle import DEFAULT_SYMBOL_CAP, classify
 from .parsing import parse_dimacs, parse_formula
@@ -35,27 +35,20 @@ DEFAULT_CLAUSE_BUDGET = 100_000
 
 def _clause_lines(cnf: CnfFormula) -> Iterator[str]:
     """Each clause as ``convert`` prints it, from the codes."""
-    names = cnf._names
-    literals = [text for name in names for text in (name, "~" + name)]  # by code
-    literal, codes = literals.__getitem__, iter(cnf._codes)
-    for size in cnf._sizes:
+    names, codes, sizes = cnf._coded
+    literal = [text for name in names for text in (name, "~" + name)].__getitem__  # by code
+    codes = iter(codes)
+    for size in sizes:
         yield " | ".join(map(literal, islice(codes, size)))
 
 
-def _implication_text(atoms: Iterable[str], consequent: str) -> str:
-    return f"{' & '.join(atoms) or TOP} -> {consequent}"
-
-
-def render_implication(imp: HornImplication) -> str:
-    return _implication_text(imp.antecedent.atoms, imp.consequent)
-
-
 def _implication_lines(horn: HornFormula) -> Iterator[str]:
-    """Each implication as ``render_implication`` prints it, from the codes."""
-    names, body = horn._names, iter(horn._body)
-    atom = names.__getitem__
-    for head, size in zip(horn._heads, horn._sizes):
-        yield _implication_text(map(atom, islice(body, size)), names[head])
+    """Each implication as ``antecedent -> consequent``, with ``top`` for
+    the empty antecedent, from the codes."""
+    names, heads, body, sizes = horn._coded
+    atom, body = names.__getitem__, iter(body)
+    for head, size in zip(heads, sizes):
+        yield f"{' & '.join(map(atom, islice(body, size))) or TOP} -> {names[head]}"
 
 
 def _rendered_sets(

@@ -16,6 +16,7 @@ table, as a :class:`CnfFormula` holds its clauses, and builds the
 
 from __future__ import annotations
 
+from dataclasses import field
 from itertools import islice
 from typing import ClassVar, Iterable, Union
 
@@ -28,8 +29,6 @@ from .normalform import (
     TOP_LITERAL,
     Clause,
     CnfFormula,
-    _coded,
-    _no_attribute,
     _token_formula,
     to_cnf,
 )
@@ -110,26 +109,22 @@ class HornFormula:
     The empty sequence marks the trivially true formula that remains when
     every clause of the source was dropped as valid.
 
-    It holds them as codes on the atom table ``_names``, where atom 0 is
-    falsum: ``_heads`` has each consequent's atom, ``_body`` the
-    antecedents' atoms end to end and ``_sizes`` their lengths, 0 for
-    :class:`Top`.  It is built from ``implications``, which it encodes
-    once, or by the package's own passes from ``coded``, those four
-    tables, when ``implications`` is built the first time it is read.
-    Equality, hash, copies and pickles go by ``implications``.
+    ``_coded`` holds them as codes on an atom table, where atom 0 is
+    falsum: the table, each consequent's atom, the antecedents' atoms end
+    to end, and each antecedent's length, 0 for :class:`Top`.  The formula
+    is built from ``implications``, which it encodes once, or by the
+    package's own passes from ``coded``, when ``implications`` is built the
+    first time it is read.  Equality, hash, copies and pickles go by
+    ``implications``.
     """
 
     implications: tuple[HornImplication, ...]
-    _names: tuple[str, ...] = _coded()
-    _heads: tuple[int, ...] = _coded()
-    _body: tuple[int, ...] = _coded()
-    _sizes: tuple[int, ...] = _coded()
+    _coded: tuple[tuple, tuple[int, ...], tuple[int, ...], tuple[int, ...]] = field(
+        init=False, repr=False, compare=False
+    )
 
     def __init__(
-        self,
-        implications: tuple[HornImplication, ...] | None = None,
-        *,
-        coded: tuple[tuple, ...] | None = None,
+        self, implications: tuple[HornImplication, ...] | None = None, *, coded: tuple | None = None
     ) -> None:
         if coded is None:
             code_of = {BOT: 0}
@@ -142,35 +137,29 @@ class HornFormula:
             sizes = tuple(len(imp.antecedent.atoms) for imp in implications)
             coded = tuple(code_of), tuple(heads), tuple(body), sizes
             _set_implications(self, implications)
-        _set_horn_names(self, coded[0])
-        _set_heads(self, coded[1])
-        _set_body(self, coded[2])
-        _set_horn_sizes(self, coded[3])
+        _set_horn_coded(self, coded)
 
     def __getattr__(self, name: str):
         # Reached only for an unset slot: ``implications`` of a formula
         # built from codes, until it is first read.
         if name != "implications":
-            raise _no_attribute(self, name)
-        names, body = self._names, iter(self._body)
-        atom = names.__getitem__
+            raise AttributeError(f"{type(self).__name__!r} object has no attribute {name!r}")
+        names, heads, body, sizes = self._coded
+        atom, body = names.__getitem__, iter(body)
         implications = tuple(
             HornImplication(Conj(map(atom, islice(body, size))) if size else _TOP, names[head])
-            for head, size in zip(self._heads, self._sizes)
+            for head, size in zip(heads, sizes)
         )
         _set_implications(self, implications)
         return implications
 
     @property
     def n(self) -> int:
-        return len(self._heads)
+        return len(self._coded[1])  # the consequents
 
 
 _set_implications = HornFormula.implications.__set__
-_set_horn_names = HornFormula._names.__set__
-_set_heads = HornFormula._heads.__set__
-_set_body = HornFormula._body.__set__
-_set_horn_sizes = HornFormula._sizes.__set__
+_set_horn_coded = HornFormula._coded.__set__
 
 
 def is_basic_horn(clause: Clause) -> bool:
@@ -211,13 +200,13 @@ def horn_from_clauses(cnf: CnfFormula) -> HornFormula:
     clause's negative atoms are its antecedent as they are, repeats
     included, and its positive atom, or falsum, is the consequent.
     """
-    codes = cnf._codes
+    names, codes, clause_sizes = cnf._coded
     heads: list[int] = []
     body: list[int] = []
     sizes: list[int] = []
     add_atom = body.append
     end = 0
-    for index, size in enumerate(cnf._sizes):
+    for index, size in enumerate(clause_sizes):
         start, end = end, end + size
         clause = codes[start:end]
         if _TOP_CODE in clause:
@@ -233,7 +222,7 @@ def horn_from_clauses(cnf: CnfFormula) -> HornFormula:
                 raise NotHornError(index, cnf._clause(index))
         heads.append(head >> 1 if head > 0 else _BOT_ATOM)
         sizes.append(len(body) - antecedent_start)
-    return HornFormula(coded=(cnf._names, tuple(heads), tuple(body), tuple(sizes)))
+    return HornFormula(coded=(names, tuple(heads), tuple(body), tuple(sizes)))
 
 
 def horn_from_formula(phi: Formula, max_clauses: int | None = None) -> HornFormula:
@@ -243,10 +232,11 @@ def horn_from_formula(phi: Formula, max_clauses: int | None = None) -> HornFormu
 
 def horn_symbols(phi: HornFormula) -> set[str]:
     """Propositional symbol names occurring in ``phi`` (constants excluded)."""
-    atoms = set(phi._heads)
-    atoms.update(phi._body)
+    names, heads, body, _ = phi._coded
+    atoms = set(heads)
+    atoms.update(body)
     atoms.discard(_BOT_ATOM)
-    return set(map(phi._names.__getitem__, atoms))
+    return set(map(names.__getitem__, atoms))
 
 
 def implication_to_formula(imp: HornImplication) -> Formula:

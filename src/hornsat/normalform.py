@@ -131,39 +131,24 @@ def _literal(names: tuple[str, ...], code: int) -> Literal:
     return Literal(names[code >> 1], not code & 1)
 
 
-def _coded():
-    """A record field that holds codes: set by the constructors and left
-    out of the generated ``__init__``, ``repr`` and comparisons, which go
-    by the objects the codes stand for."""
-    return field(init=False, repr=False, compare=False)
-
-
-def _no_attribute(record: object, name: str) -> AttributeError:
-    return AttributeError(f"{type(record).__name__!r} object has no attribute {name!r}")
-
-
 @_record
 class CnfFormula:
     """A conjunction of clauses, in source order.
 
-    It holds them as literal codes: ``_names`` is the atom table, ``_codes``
-    the clauses' codes end to end and ``_sizes`` their lengths.  It is
-    built from ``clauses``, which it encodes once, or by the package's own
-    passes from ``coded``, those three tables, when ``clauses`` is built
-    the first time it is read.  Equality, hash, copies and pickles go by
-    ``clauses``.
+    ``_coded`` holds them as codes: the atom table, the clauses' literal
+    codes end to end, and each clause's length.  The formula is built from
+    ``clauses``, which it encodes once, or by the package's own passes from
+    ``coded``, when ``clauses`` is built the first time it is read.
+    Equality, hash, copies and pickles go by ``clauses``.
     """
 
     clauses: tuple[Clause, ...]
-    _names: tuple[str, ...] = _coded()
-    _codes: tuple[int, ...] = _coded()
-    _sizes: tuple[int, ...] = _coded()
+    _coded: tuple[tuple, tuple[int, ...], tuple[int, ...]] = field(
+        init=False, repr=False, compare=False
+    )
 
     def __init__(
-        self,
-        clauses: tuple[Clause, ...] | None = None,
-        *,
-        coded: tuple[tuple, ...] | None = None,
+        self, clauses: tuple[Clause, ...] | None = None, *, coded: tuple | None = None
     ) -> None:
         if coded is None:
             code_of = {BOT: 0}
@@ -174,27 +159,25 @@ class CnfFormula:
             ]
             coded = tuple(code_of), tuple(codes), tuple(len(c.literals) for c in clauses)
             _set_clauses(self, clauses)
-        _set_cnf_names(self, coded[0])
-        _set_cnf_codes(self, coded[1])
-        _set_cnf_sizes(self, coded[2])
+        _set_cnf_coded(self, coded)
 
     def __getattr__(self, name: str):
         # Reached only for an unset slot: ``clauses`` of a formula built
         # from codes, until it is first read.
         if name != "clauses":
-            raise _no_attribute(self, name)
-        names = self._names
-        literals = {code: _literal(names, code) for code in set(self._codes)}
-        literal_of, codes = literals.__getitem__, iter(self._codes)
-        clauses = tuple(Clause(tuple(map(literal_of, islice(codes, size)))) for size in self._sizes)
+            raise AttributeError(f"{type(self).__name__!r} object has no attribute {name!r}")
+        names, codes, sizes = self._coded
+        literal_of = {code: _literal(names, code) for code in set(codes)}.__getitem__
+        codes = iter(codes)
+        clauses = tuple(Clause(tuple(map(literal_of, islice(codes, size)))) for size in sizes)
         _set_clauses(self, clauses)
         return clauses
 
     def _clause(self, index: int) -> Clause:
         """Clause ``index``, built alone."""
-        start = sum(islice(self._sizes, index))
-        codes = self._codes[start : start + self._sizes[index]]
-        return Clause(tuple(_literal(self._names, code) for code in codes))
+        names, codes, sizes = self._coded
+        start = sum(islice(sizes, index))
+        return Clause(tuple(_literal(names, code) for code in codes[start : start + sizes[index]]))
 
     # Clause by clause, not ``evaluate(self.to_formula(), ...)``: building
     # the readback for every row took the 500-formula CNF equivalence check
@@ -207,18 +190,17 @@ class CnfFormula:
         return 1
 
     def symbols(self) -> set[str]:
-        atoms = {code >> 1 for code in self._codes}
+        names, codes, _ = self._coded
+        atoms = {code >> 1 for code in codes}
         atoms.discard(_BOT_ATOM)
-        return set(map(self._names.__getitem__, atoms))
+        return set(map(names.__getitem__, atoms))
 
     def to_formula(self) -> Formula:
         return _join(And, map(Clause.to_formula, self.clauses), Verum())
 
 
 _set_clauses = CnfFormula.clauses.__set__
-_set_cnf_names = CnfFormula._names.__set__
-_set_cnf_codes = CnfFormula._codes.__set__
-_set_cnf_sizes = CnfFormula._sizes.__set__
+_set_cnf_coded = CnfFormula._coded.__set__
 
 
 # Work-stack markers: combine the two clause lists on top of the value stack.

@@ -117,7 +117,7 @@ class Trace:
 
     def _consequents(self) -> Iterator[str]:
         """The consequent of each firing, in order."""
-        names, heads = self.formula._names, self.formula._heads
+        names, heads, _, _ = self.formula._coded
         return (names[heads[index]] for index in self.fired)
 
     def _steps(self, k: int = 0) -> Iterator[TraceStep]:
@@ -156,17 +156,18 @@ def saturate(
     start = frozenset(start)
     if TOP not in start:
         raise ValueError("the start set must contain the verum token")
-    current = bytearray(map(start.__contains__, phi._names))
+    names = phi._coded[0]
+    current = bytearray(map(start.__contains__, names))
     # The run's working lists are gone before the final set grows.
     fired = tuple(_fire(phi, current, early_stop))
-    return start.union(compress(phi._names, current)), Trace(phi, start, fired)
+    return start.union(compress(names, current)), Trace(phi, start, fired)
 
 
 def _fire(phi: HornFormula, current: bytearray, early_stop: bool) -> list[int]:
     """Fire implications of ``phi`` on ``current``, the set as a flag per
     atom, until none is fireable (or, with ``early_stop``, falsum is in
     it); the input positions fired, in order."""
-    heads, body, sizes = phi._heads, phi._body, phi._sizes
+    _, heads, body, sizes = phi._coded
     waiting: list[list[int] | None] = [None] * len(current)
     for head in heads:
         waiting[head] = []
@@ -217,10 +218,11 @@ def precheck(phi: HornFormula) -> tuple[str, ...]:
     consequent is satisfiable; and with no verum antecedent nothing can
     fire from {verum}, so saturation stops immediately at {verum}.
     """
+    _, heads, _, sizes = phi._coded
     reasons = []
-    if _BOT_ATOM not in phi._heads:
+    if _BOT_ATOM not in heads:
         reasons.append(SHORTCUT_NO_BOT_CONSEQUENT)
-    if 0 not in phi._sizes:  # no antecedent is empty
+    if 0 not in sizes:  # no antecedent is empty
         reasons.append(SHORTCUT_NO_TOP_ANTECEDENT)
     return tuple(reasons)
 

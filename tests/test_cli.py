@@ -42,9 +42,9 @@ from hornsat.cli import (
     DEFAULT_CLAUSE_BUDGET,
     TraceDocument,
     _build_parser,
+    _implication_lines,
     build_trace_document,
     cli_main,
-    render_implication,
 )
 
 from helpers import (
@@ -645,7 +645,7 @@ def _document(input_formula, horn, start, early_stop, model, shortcut):
     final, steps = saturate(horn, start, early_stop)
     return TraceDocument(
         input_formula=input_formula,
-        horn_form=tuple(render_implication(imp) for imp in horn.implications),
+        horn_form=tuple(_implication_lines(horn)),
         steps=steps,
         final_set=tuple(sorted(final)),
         verdict="UNSAT" if BOT in final else "SAT",

@@ -14,7 +14,7 @@ import hypothesis.strategies as st
 from hypothesis import given, settings
 
 from hornsat import BOT, TOP, symbols
-from hornsat.cli import DEFAULT_CLAUSE_BUDGET, EXIT_ERROR, EXIT_SAT, EXIT_UNSAT, _model_line
+from hornsat.cli import DEFAULT_CLAUSE_BUDGET, EXIT_ERROR, EXIT_SAT, EXIT_UNSAT
 
 from helpers import (
     formula_strategy,
@@ -105,7 +105,8 @@ def reference_cli(command, text: str, dimacs: bool) -> tuple[int, str, str]:
     err = f"note: shortcut: {shortcut}\n" if shortcut and "--no-precheck" not in command else ""
     if not satisfiable:
         return code, "UNSAT\n", err
-    return code, "SAT\n" + (_model_line(model) + "\n" if model else ""), err
+    line = " ".join(f"{name}={value}" for name, value in sorted(model.items()))
+    return code, "SAT\n" + (line + "\n" if line else ""), err
 
 
 def _assert_cli_matches_reference(text: str, dimacs: bool) -> None:

@@ -33,7 +33,7 @@ from hornsat import (
     parse_dimacs,
     parse_formula,
 )
-from hornsat.cli import render_implication
+from hornsat.cli import _implication_lines
 
 from helpers import (
     GOLDEN_SHORT,
@@ -183,7 +183,7 @@ def test_top_is_a_fieldless_empty_conjunction():
     assert Top() == Top() and hash(Top()) == hash(Top())
     assert repr(Top()) == "Top()"
     assert Top().atoms == ()
-    assert render_implication(unit("p")) == "top -> p"
+    assert list(_implication_lines(HornFormula((unit("p"),)))) == ["top -> p"]
     assert implication_to_formula(unit("p")) == Implies(Verum(), Atom("p"))
 
 
