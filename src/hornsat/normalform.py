@@ -312,7 +312,11 @@ def to_cnf(phi: Formula, max_clauses: int | None = None) -> CnfFormula:
     raw, names = _clause_lists(phi, max_clauses)
     codes: list[int] = []
     sizes: list[int] = []
-    for clause in raw:
+    # Each clause list is dropped as soon as its codes are copied out, so
+    # that the two never hold a large formula twice over.
+    raw.reverse()
+    while raw:
+        clause = raw.pop()
         if _TOP_CODE in clause:
             continue
         # Rebuilt only when there is something to drop: on the seed-1
