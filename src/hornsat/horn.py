@@ -127,7 +127,7 @@ class HornFormula:
         self, implications: tuple[HornImplication, ...] | None = None, *, coded: tuple | None = None
     ) -> None:
         if coded is None:
-            code_of = {BOT: 0}
+            code_of = {BOT: _BOT_ATOM}
             heads = [code_of.setdefault(imp.consequent, len(code_of)) for imp in implications]
             body = [
                 code_of.setdefault(atom, len(code_of))

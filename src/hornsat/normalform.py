@@ -151,7 +151,7 @@ class CnfFormula:
         self, clauses: tuple[Clause, ...] | None = None, *, coded: tuple | None = None
     ) -> None:
         if coded is None:
-            code_of = {BOT: 0}
+            code_of = {BOT: _BOT_ATOM}
             codes = [
                 2 * code_of.setdefault(lit.atom, len(code_of)) + (not lit.positive)
                 for clause in clauses
