@@ -82,29 +82,44 @@ def _rendered_sets(
     yield None, None, remaining, after, after
 
 
-def _text_set(items: list[str]) -> str:
-    return "{" + ", ".join(items) + "}"
+def _text_set(items: Sequence[str]) -> str:
+    return f"{{{', '.join(items)}}}"
 
 
 # ``to_json`` writes out the layout of ``json.dumps(document, indent=2)``
 # by hand: with ``indent``, json falls back to its pure-Python encoder,
 # which costs calls per value and would render every set twice.  Strings
-# go through ``json.dumps``, so they are escaped the same way.
+# go straight to the C function that ``json.dumps`` calls for a ``str``,
+# so they are escaped the same way.
+_json_str = json.encoder.encode_basestring_ascii
+
+
+class _JsonAtoms(dict):
+    """Each atom's JSON string, encoded on first read and reused."""
+
+    __slots__ = ()
+
+    def __missing__(self, atom: str) -> str:
+        self[atom] = encoded = _json_str(atom)
+        return encoded
+
+
 def _json_block(items: list[str], depth: int, brackets: str = "[]") -> str:
     """A JSON array (or, with ``brackets="{}"``, object) at nesting
-    ``depth`` of already encoded ``items``."""
+    ``depth`` of already encoded ``items``, built in one copy."""
     if not items:
         return brackets
     pad = "\n" + "  " * (depth + 1)
-    return brackets[0] + pad + ("," + pad).join(items) + "\n" + "  " * depth + brackets[1]
+    return f"{brackets[0]}{pad}{(',' + pad).join(items)}\n{'  ' * depth}{brackets[1]}"
+
+
+_STEP_SET_SEP = ",\n        "
 
 
 def _json_step_set(items: list[str]) -> str:
-    return _json_block(items, 3)  # document > steps > step > set
-
-
-def _json_str(value: str | None) -> str:
-    return "null" if value is None else json.dumps(value)
+    """``_json_block(items, 3)`` (document > steps > step > set), with the
+    layout worked out once, as every rendered set comes through here."""
+    return f"[\n        {_STEP_SET_SEP.join(items)}\n      ]" if items else "[]"
 
 
 @_record
@@ -123,47 +138,47 @@ class TraceDocument:
     def to_json(self) -> str:
         """The document as ``json.dumps(..., indent=2)`` prints it: keys in
         field order, each set a sorted array, the model sorted by name."""
+        atoms = _JsonAtoms()
         parts = [
             '{\n  "input_formula": ',
-            json.dumps(self.input_formula),
+            _json_str(self.input_formula),
             ',\n  "horn_form": ',
-            _json_block([json.dumps(imp) for imp in self.horn_form], 1),
+            _json_block(list(map(_json_str, self.horn_form)), 1),
             ',\n  "steps": ',
         ]
         opening = "[\n    {"
-        steps = _rendered_sets(self.steps, json.dumps, _json_step_set)
-        for index, consequent, remaining, before, after in steps:
+        for index, consequent, remaining, before, after in _rendered_sets(
+            self.steps, atoms.__getitem__, _json_step_set
+        ):
+            fired = (
+                '"fired_index": null,\n      "consequent_added": null'
+                if index is None
+                else f'"fired_index": {index},\n      "consequent_added": {atoms[consequent]}'
+            )
             parts += (
-                opening,
-                '\n      "fired_index": ',
-                "null" if index is None else str(index),
-                ',\n      "consequent_added": ',
-                _json_str(consequent),
-                ',\n      "set_before": ',
+                f'{opening}\n      {fired},\n      "set_before": ',
                 before,
                 ',\n      "set_after": ',
                 after,
-                ',\n      "remaining_after": ',
-                str(remaining),
-                "\n    }",
+                f',\n      "remaining_after": {remaining}\n    }}',
             )
             opening = ",\n    {"
         parts.append("\n  ]" if self.steps else "[]")
         model = "null"
         if self.model is not None:
-            entries = [f"{json.dumps(name)}: {value}" for name, value in sorted(self.model.items())]
+            entries = [f"{atoms[name]}: {value}" for name, value in sorted(self.model.items())]
             model = _json_block(entries, 1, "{}")
         parts += (
             ',\n  "final_set": ',
-            _json_block([json.dumps(name) for name in self.final_set], 1),
+            _json_block([atoms[name] for name in self.final_set], 1),
             ',\n  "verdict": ',
-            json.dumps(self.verdict),
+            _json_str(self.verdict),
             ',\n  "model": ',
             model,
             ',\n  "step_count": ',
             str(self.step_count),
             ',\n  "shortcut": ',
-            _json_str(self.shortcut),
+            "null" if self.shortcut is None else _json_str(self.shortcut),
             "\n}",
         )
         return "".join(parts)
@@ -182,7 +197,7 @@ class TraceDocument:
             else:
                 implication = self.horn_form[index]
                 parts += (f"\n  {number}. fire [{index}] {implication}: ", before, " => ", after)
-        parts.append("\nfinal:    {" + ", ".join(self.final_set) + "}")
+        parts.append(f"\nfinal:    {_text_set(self.final_set)}")
         parts.append(f"\nsteps:    {self.step_count}\nverdict:  {self.verdict}")
         if self.model is not None:
             parts.append(f"\nmodel:    {_model_line(self.model)}")

@@ -177,13 +177,16 @@ def _fire(phi: HornFormula, current: bytearray, early_stop: bool) -> list[int]:
     for index, size in enumerate(sizes):
         start, end = end, end + size
         count = 0
-        for atom in body[start:end]:
-            if not current[atom]:
-                count += 1
-                waiters = waiting[atom]
-                if waiters is None:
-                    break  # never enters the set, so this one never fires
-                waiters.append(index)
+        if size and waiting[body[start]] is None and not current[body[start]]:
+            count = 1  # as the loop would stop at its first atom, unsliced
+        else:
+            for atom in body[start:end]:
+                if not current[atom]:
+                    count += 1
+                    waiters = waiting[atom]
+                    if waiters is None:
+                        break  # never enters the set, so this one never fires
+                    waiters.append(index)
         missing.append(count)
         if not count:
             fireable.append(index)  # in ascending order, so already a heap

@@ -820,7 +820,7 @@ def planted_horn_dimacs(rng: random.Random, n_vars: int, n_clauses: int) -> tupl
     planted = order[: n_vars // 2]
     facts = max(1, len(planted) // 10)
     clauses = [[v] for v in planted[:facts]]
-    clauses += [[-rng.choice(planted[:i]), planted[i]] for i in range(facts, len(planted))]
+    clauses += [[-planted[rng.randrange(i)], planted[i]] for i in range(facts, len(planted))]
     model = set(planted)
     while len(clauses) < n_clauses:
         a, b, c = rng.sample(order, 3)

@@ -2,6 +2,7 @@
 
 import contextlib
 import gc
+import hashlib
 import io
 import json
 import os
@@ -14,7 +15,7 @@ from pathlib import Path
 
 import hypothesis.strategies as st
 import pytest
-from hypothesis import example, given
+from hypothesis import example, given, settings
 
 import hornsat
 from hornsat import (
@@ -43,6 +44,7 @@ from hornsat.cli import (
     TraceDocument,
     _build_parser,
     _implication_lines,
+    _json_str,
     build_trace_document,
     cli_main,
 )
@@ -174,9 +176,21 @@ def test_solve_large_dimacs_file(tmp_path, capsys):
     assert verdict == "SAT"
     assert {entry[:-2] for entry in model.split() if entry.endswith("=1")} == planted
     # The solve takes 2.9-3.2 s on a 2-vCPU VM (3.9-4.4 s when clauses and
-    # implications were records); generating the input takes 10-11 s more.
+    # implications were records); generating the input takes about 2 s more.
     # A pass quadratic in the clause count would take hours.
     assert elapsed < 60.0
+
+
+def test_planted_horn_dimacs_text_is_pinned():
+    # Drawing each antecedent by index gives what the earlier
+    # ``rng.choice(planted[:i])``, which copied a prefix per draw, gave for
+    # this seed: both draw ``rng._randbelow(i)``.  So the inputs of the
+    # large-file tests are the same as before.
+    text, planted = planted_horn_dimacs(random.Random(200), 2_000, 4_000)
+    assert hashlib.sha256(text.encode("utf-8")).hexdigest() == (
+        "cbaac7e88b4bde1d33a9fae68ebb397f151ba12311be2d75e78df8a4d30a1048"
+    )
+    assert len(planted) == 1_000
 
 
 def test_solve_dimacs_peak_memory(tmp_path, capsys):
@@ -742,6 +756,38 @@ def test_trace_output_matches_reference(write, capsys, text, json_flag):
     assert out == render(document) + "\n"
     if text == "p ∧ q" and json_flag:
         assert '"input_formula": "p \\u2227 q"' in out
+
+
+# Every code point, lone surrogates included, which ``st.text()`` leaves out.
+_ANY_TEXT = st.one_of(st.text(), st.text(st.characters(exclude_categories=())))
+
+
+@given(_ANY_TEXT)
+@example('"\\/\b\f\n\r\t\x00\x1f\x7f\x80\u2028\u2227\ufeff\U0001f600\ud800\udfff\udc80\ud83d')
+def test_json_strings_are_encoded_as_json_dumps_encodes_them(text):
+    assert _json_str(text) == json.dumps(text)
+
+
+def _dimacs_with_comment(rng, comment):
+    """A DIMACS text whose first line is a comment holding ``comment``, cut
+    at its first line break so that the comment stays one line."""
+    return f"c {(comment.splitlines() or [''])[0]}\n{random_dimacs_text(rng)}"
+
+
+@settings(max_examples=150, deadline=None)
+@given(
+    st.one_of(
+        st.tuples(formula_strategy().map(render), st.just([])),
+        st.tuples(st.builds(_dimacs_with_comment, st.randoms(use_true_random=False), _ANY_TEXT), st.just(["--dimacs"])),
+    )
+)
+def test_trace_json_output_is_what_json_dumps_prints(case):
+    text, flags = case
+    code, out, _ = run_cli(["trace", "-", *flags, "--json"], text)
+    if code == 1:
+        assert out == ""
+    else:
+        assert out == json.dumps(json.loads(out), indent=2) + "\n"
 
 
 class _Sink:
