@@ -54,20 +54,22 @@ def _implication_lines(horn: HornFormula) -> Iterator[str]:
 def _rendered_sets(
     trace: Trace,
     encode: Callable[[str], str],
-    render: Callable[[list[str]], str],
+    join: Callable[[list[str]], str],
 ) -> Iterator[tuple[int | None, str | None, int, str, str]]:
     """Yield each step's fired index, consequent, remaining count, and its
     ``set_before`` and ``set_after`` rendered.
 
-    ``render`` lays out the set's atoms, each ``encode``-d once, in sorted
-    order.  A firing inserts its consequent only if that atom is new, so
-    each distinct set is rendered once.  The member set answers that faster
-    than a search of the sorted list when most firings repeat an atom.
+    ``join`` lays out the set's atoms, each ``encode``-d once, in sorted
+    order, and the caller writes the brackets around it, so each set is
+    built in one copy.  A firing inserts its consequent only if that atom
+    is new, so each distinct set is rendered once.  The member set answers
+    that faster than a search of the sorted list when most firings repeat
+    an atom.
     """
     members = set(trace.start)
     atoms = sorted(members)
     items = [encode(atom) for atom in atoms]
-    after = render(items)
+    after = join(items)
     remaining = trace.formula.n
     for index, consequent in zip(trace.fired, trace._consequents()):
         before = after
@@ -76,14 +78,10 @@ def _rendered_sets(
             position = bisect_right(atoms, consequent)
             atoms.insert(position, consequent)
             items.insert(position, encode(consequent))
-            after = render(items)
+            after = join(items)
         remaining -= 1
         yield index, consequent, remaining, before, after
     yield None, None, remaining, after, after
-
-
-def _text_set(items: Sequence[str]) -> str:
-    return f"{{{', '.join(items)}}}"
 
 
 # ``to_json`` writes out the layout of ``json.dumps(document, indent=2)``
@@ -106,20 +104,11 @@ class _JsonAtoms(dict):
 
 def _json_block(items: list[str], depth: int, brackets: str = "[]") -> str:
     """A JSON array (or, with ``brackets="{}"``, object) at nesting
-    ``depth`` of already encoded ``items``, built in one copy."""
+    ``depth`` of already encoded ``items``."""
     if not items:
         return brackets
     pad = "\n" + "  " * (depth + 1)
     return f"{brackets[0]}{pad}{(',' + pad).join(items)}\n{'  ' * depth}{brackets[1]}"
-
-
-_STEP_SET_SEP = ",\n        "
-
-
-def _json_step_set(items: list[str]) -> str:
-    """``_json_block(items, 3)`` (document > steps > step > set), with the
-    layout worked out once, as every rendered set comes through here."""
-    return f"[\n        {_STEP_SET_SEP.join(items)}\n      ]" if items else "[]"
 
 
 @_record
@@ -137,7 +126,9 @@ class TraceDocument:
 
     def to_json(self) -> str:
         """The document as ``json.dumps(..., indent=2)`` prints it: keys in
-        field order, each set a sorted array, the model sorted by name."""
+        field order, each set a sorted array, the model sorted by name.
+        A step's sets are laid out as non-empty arrays: every set of a run
+        holds ``top``, which :func:`saturate` requires of its start set."""
         atoms = _JsonAtoms()
         parts = [
             '{\n  "input_formula": ',
@@ -148,7 +139,7 @@ class TraceDocument:
         ]
         opening = "[\n    {"
         for index, consequent, remaining, before, after in _rendered_sets(
-            self.steps, atoms.__getitem__, _json_step_set
+            self.steps, atoms.__getitem__, ",\n        ".join  # document > steps > step > set
         ):
             fired = (
                 '"fired_index": null,\n      "consequent_added": null'
@@ -156,11 +147,11 @@ class TraceDocument:
                 else f'"fired_index": {index},\n      "consequent_added": {atoms[consequent]}'
             )
             parts += (
-                f'{opening}\n      {fired},\n      "set_before": ',
+                f'{opening}\n      {fired},\n      "set_before": [\n        ',
                 before,
-                ',\n      "set_after": ',
+                '\n      ],\n      "set_after": [\n        ',
                 after,
-                f',\n      "remaining_after": {remaining}\n    }}',
+                f'\n      ],\n      "remaining_after": {remaining}\n    }}',
             )
             opening = ",\n    {"
         parts.append("\n  ]" if self.steps else "[]")
@@ -190,14 +181,14 @@ class TraceDocument:
         if self.shortcut:
             parts.append(f"\nshortcut: {self.shortcut}")
         parts.append("\ntrace:")
-        steps = _rendered_sets(self.steps, str, _text_set)
+        steps = _rendered_sets(self.steps, str, ", ".join)
         for number, (index, _, remaining, before, after) in enumerate(steps, start=1):
             if index is None:
-                parts += (f"\n  {number}. stop ({remaining} remaining): ", after)
+                parts += (f"\n  {number}. stop ({remaining} remaining): {{", after, "}")
             else:
                 implication = self.horn_form[index]
-                parts += (f"\n  {number}. fire [{index}] {implication}: ", before, " => ", after)
-        parts.append(f"\nfinal:    {_text_set(self.final_set)}")
+                parts += (f"\n  {number}. fire [{index}] {implication}: {{", before, "} => {", after, "}")
+        parts.append(f"\nfinal:    {{{', '.join(self.final_set)}}}")
         parts.append(f"\nsteps:    {self.step_count}\nverdict:  {self.verdict}")
         if self.model is not None:
             parts.append(f"\nmodel:    {_model_line(self.model)}")
