@@ -178,7 +178,7 @@ def _fire(phi: HornFormula, current: bytearray, early_stop: bool) -> list[int]:
         start, end = end, end + size
         count = 0
         if size and waiting[body[start]] is None and not current[body[start]]:
-            count = 1  # as the loop would stop at its first atom, unsliced
+            count = 1  # the loop would stop at this first atom; no slice needed
         else:
             for atom in body[start:end]:
                 if not current[atom]:
