@@ -17,8 +17,8 @@ from functools import cache
 from itertools import islice
 from typing import Callable, Iterator, Sequence
 
-from .formula import Formula, _record, symbols
-from .horn import HornFormula, horn_from_clauses, horn_symbols
+from .formula import _record
+from .horn import HornFormula, horn_from_clauses
 from .normalform import TOP, CnfFormula, to_cnf
 from .oracle import DEFAULT_SYMBOL_CAP, classify
 from .parsing import parse_dimacs, parse_formula
@@ -227,29 +227,26 @@ def _read_input(path: str) -> str:
         return handle.read()
 
 
-def _load_cnf(args: argparse.Namespace) -> tuple[str, CnfFormula, Formula | None]:
-    """Read the input and produce clauses plus the parsed formula, whose
-    symbols a model must name even where no implication mentions them;
-    None for DIMACS."""
+def _load_cnf(args: argparse.Namespace) -> tuple[str, CnfFormula]:
+    """Read the input and produce its clauses."""
     text = _read_input(args.path)
     if args.dimacs:
-        # No DIMACS literal is ~bot, so no clause is dropped and every atom
-        # is in the implications' symbols.
-        return text, parse_dimacs(text), None
-    phi = parse_formula(text)
-    return text, to_cnf(phi, max_clauses=args.max_clauses), phi
+        return text, parse_dimacs(text)
+    return text, to_cnf(parse_formula(text), max_clauses=args.max_clauses)
 
 
 def _run_solver(args: argparse.Namespace):
-    text, cnf, phi = _load_cnf(args)
+    text, cnf = _load_cnf(args)
     horn = horn_from_clauses(cnf)
     shortcut = "; ".join(precheck(horn)) or None
     outcome = solve(horn, early_stop=True)
     model = None
     if outcome.satisfiable:
-        # ``to_cnf`` adds no symbol, so ``symbols(phi)`` also names every
-        # atom of the implications.
-        names = horn_symbols(horn) if phi is None else symbols(phi)
+        # The atom table names every symbol a model must name, and no other:
+        # ``to_cnf`` tables every atom of the formula, even one whose clauses
+        # are all dropped, and ``parse_dimacs`` every variable that occurs,
+        # none of them in a dropped clause, since no DIMACS literal is ~bot.
+        names = horn._coded[0][1:]
         model = {name: int(name in outcome.final_set) for name in sorted(names)}
     return text, horn, outcome, model, shortcut
 
@@ -275,7 +272,7 @@ def _cmd_trace(args: argparse.Namespace) -> int:
 
 
 def _cmd_convert(args: argparse.Namespace) -> int:
-    _, cnf, _ = _load_cnf(args)
+    _, cnf = _load_cnf(args)
     print("clauses:")
     for line in _clause_lines(cnf):
         print(f"  {line}")

@@ -24,6 +24,13 @@ formula's name table is the code ``2k`` as a positive literal and
 table, the clauses' codes end to end and each clause's length, and builds
 its :class:`Clause` objects only when ``clauses`` is read.
 
+The pass counts the leaves it reads.  When there are as many as there are
+distinct atoms, the formula is read-once: no constant and no atom twice,
+and a biconditional, which reads its sides twice, never is.  Its clauses
+then hold no verum, no falsum and no repeated literal, so they are copied
+out as they are, in one pass; any other formula's clauses are cleaned one
+by one.
+
 The falsum constant is an atomic formula here, so it may appear inside
 literals; the verum literal is the negation of falsum.
 """
@@ -31,7 +38,7 @@ literals; the verum literal is the negation of falsum.
 from __future__ import annotations
 
 from dataclasses import field
-from itertools import islice
+from itertools import chain, islice
 
 from .formula import And, Atom, Falsum, Formula, Iff, Implies, Not, Or, Valuation, Verum, _join, _record
 
@@ -233,15 +240,17 @@ def _chain_operands(node: Formula, positive: bool) -> list[tuple[Formula, bool]]
     return operands
 
 
-def _clause_lists(phi: Formula, budget: int | None) -> tuple[list[list[int]], list[str]]:
+def _clause_lists(phi: Formula, budget: int | None) -> tuple[list[list[int]], list[str], bool]:
     """The clauses of ``phi`` as lists of literal codes, in source order,
-    and the name table of their atoms.
+    the name table of their atoms, and whether ``phi`` is read-once: every
+    leaf a distinct atom, so no constant and no atom read twice.
 
     Every clause list on the value stack, and every clause in it, has
     exactly one owner, so concatenation and a product with a single
     right-hand clause extend in place.
     """
     names = [BOT]
+    leaves = 0  # atoms and constants read; a biconditional reads its sides twice
     atom_of: dict[str, int] = {}
     todo: list[tuple[object, bool]] = [(phi, True)]
     values: list[list[list[int]]] = []
@@ -266,14 +275,17 @@ def _clause_lists(phi: Formula, budget: int | None) -> tuple[list[list[int]], li
             else:
                 values.append([lc + rc for lc in left for rc in right])
         elif isinstance(node, Atom):
+            leaves += 1
             atom = atom_of.get(node.name)
             if atom is None:
                 atom = atom_of[node.name] = len(names)
                 names.append(node.name)
             values.append([[2 * atom + (not positive)]])
         elif isinstance(node, Falsum):
+            leaves += 1
             values.append([[_BOT_CODE if positive else _TOP_CODE]])
         elif isinstance(node, Verum):
+            leaves += 1
             values.append([[_TOP_CODE if positive else _BOT_CODE]])
         elif isinstance(node, Not):
             todo.append((node.operand, not positive))
@@ -297,7 +309,7 @@ def _clause_lists(phi: Formula, budget: int | None) -> tuple[list[list[int]], li
     # A single leaf, however negated, never reaches a combine marker.
     if budget is not None and len(values[0]) > budget:
         raise ClauseBudgetError(f"conversion exceeds the budget of {budget} clauses")
-    return values[0], names
+    return values[0], names, leaves == len(names) - 1
 
 
 def to_cnf(phi: Formula, max_clauses: int | None = None) -> CnfFormula:
@@ -308,8 +320,22 @@ def to_cnf(phi: Formula, max_clauses: int | None = None) -> CnfFormula:
     dropped, duplicate literals are dropped, and falsum literals are
     dropped from clauses that have other literals.  If every clause is
     dropped, the single verum clause remains.
+
+    A read-once formula, whose leaves are distinct atoms, has nothing to
+    drop: each clause takes its literals from distinct leaves.  Its
+    clauses are copied out as they are, in one pass.
     """
-    raw, names = _clause_lists(phi, max_clauses)
+    raw, names, read_once = _clause_lists(phi, max_clauses)
+    if read_once:
+        sizes = tuple(map(len, raw))
+        # ``iter(raw.pop, None)`` pops the clause lists in order, down to the
+        # ``None`` at the bottom, so that each is dropped as soon as it is
+        # copied, as in the loop below.
+        raw.append(None)
+        raw.reverse()
+        return CnfFormula(
+            coded=(tuple(names), tuple(chain.from_iterable(iter(raw.pop, None))), sizes)
+        )
     codes: list[int] = []
     sizes: list[int] = []
     # Each clause list is dropped as soon as its codes are copied out, so

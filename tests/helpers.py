@@ -7,7 +7,7 @@ import json
 import random
 import re
 from dataclasses import dataclass
-from typing import Iterable, NamedTuple, Sequence
+from typing import Iterable, Iterator, NamedTuple, Sequence
 
 import hypothesis.strategies as st
 
@@ -237,6 +237,29 @@ def formula_strategy(names=("p", "q", "r", "s"), max_leaves=10):
         ),
         max_leaves=max_leaves,
     )
+
+
+def _fresh_atoms(shape, names: Iterator[str]) -> Formula:
+    """The formula of a nested-tuple ``shape``, each ``None`` leaf the next
+    of ``names``."""
+    if shape is None:
+        return Atom(next(names))
+    connective, *operands = shape
+    return connective(*(_fresh_atoms(operand, names) for operand in operands))
+
+
+def read_once_strategy(max_leaves=14):
+    """Read-once formulas: ``~``, ``&``, ``|`` and ``->`` over leaves that
+    are distinct atoms, ``a0``, ``a1``, ... from left to right."""
+    shapes = st.recursive(
+        st.none(),
+        lambda children: st.one_of(
+            st.tuples(st.just(Not), children),
+            st.tuples(st.sampled_from((And, Or, Implies)), children, children),
+        ),
+        max_leaves=max_leaves,
+    )
+    return shapes.map(lambda shape: _fresh_atoms(shape, map("a{}".format, itertools.count())))
 
 
 # Formula helpers that only the tests use: ``render`` for parser round
