@@ -327,14 +327,14 @@ def to_cnf(phi: Formula, max_clauses: int | None = None) -> CnfFormula:
     """
     raw, names, read_once = _clause_lists(phi, max_clauses)
     if read_once:
-        sizes = tuple(map(len, raw))
+        lengths = tuple(map(len, raw))
         # ``iter(raw.pop, None)`` pops the clause lists in order, down to the
         # ``None`` at the bottom, so that each is dropped as soon as it is
         # copied, as in the loop below.
         raw.append(None)
         raw.reverse()
         return CnfFormula(
-            coded=(tuple(names), tuple(chain.from_iterable(iter(raw.pop, None))), sizes)
+            coded=(tuple(names), tuple(chain.from_iterable(iter(raw.pop, None))), lengths)
         )
     codes: list[int] = []
     sizes: list[int] = []

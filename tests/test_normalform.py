@@ -190,8 +190,12 @@ def test_read_once_copy_matches_reference(phi, budget):
     # Read-once is every leaf a distinct atom; only then are the clauses
     # copied out without clean-up.
     leaves = _leaves(phi)
-    read_once = leaves is not None and all(isinstance(leaf, Atom) for leaf in leaves)
-    assert _clause_lists(phi, None)[2] == (read_once and len(set(leaves)) == len(leaves))
+    read_once = (
+        leaves is not None
+        and all(isinstance(leaf, Atom) for leaf in leaves)
+        and len(set(leaves)) == len(leaves)
+    )
+    assert _clause_lists(phi, None)[2] == read_once
     assert _conversion(to_cnf, phi, budget) == _conversion(reference_to_cnf, phi, budget)
 
 
