@@ -10,7 +10,6 @@ from __future__ import annotations
 
 import argparse
 import gc
-import json
 import sys
 from bisect import bisect_right
 from functools import cache
@@ -89,7 +88,15 @@ def _rendered_sets(
 # which costs calls per value and would render every set twice.  Strings
 # go straight to the C function that ``json.dumps`` calls for a ``str``,
 # so they are escaped the same way.
-_json_str = json.encoder.encode_basestring_ascii
+def _json_str(text: str) -> str:
+    """``text`` as a JSON string.  The first call imports ``json`` and
+    rebinds this name to that C function, so only ``trace --json`` loads
+    the module."""
+    global _json_str
+    from json.encoder import encode_basestring_ascii
+
+    _json_str = encode_basestring_ascii
+    return encode_basestring_ascii(text)
 
 
 class _JsonAtoms(dict):

@@ -12,7 +12,6 @@ from the mapping read as 0, so every partial map is total by convention.
 from __future__ import annotations
 
 import re
-from dataclasses import FrozenInstanceError, dataclass
 from functools import reduce
 from typing import Callable, Iterable, Mapping, Union
 
@@ -40,21 +39,92 @@ _NAME_RE = re.compile(_IDENTIFIER + r"\Z")
 _RESERVED = frozenset({"false", "bot", "true", "top"})
 
 
+class FrozenInstanceError(AttributeError):
+    """An assignment to, or deletion of, an attribute of a record."""
+
+
+# ``ClassVar[...]`` as written, or as ``str`` prints it once evaluated.
+_CLASS_VAR = re.compile(r"(?:typing\.)?ClassVar\b").match
+
+
 def _record(cls: type) -> type:
-    """``dataclass(frozen=True, slots=True)``: a record without an instance
-    dict, which keeps an ``__init__`` that the class or a base writes; one
-    that ``dataclass`` generated for a base is generated anew.  The
-    generated ``__setattr__`` and ``__delattr__`` stay tied to the class
-    that the slotted one replaces, so they raise TypeError for a name that
-    is not a field (CPython 3.11); these two raise FrozenInstanceError for
-    every name, as an unslotted frozen one does."""
-    init = not any(
-        "__init__" in vars(c) and not getattr(vars(c).get("__dataclass_params__"), "init", False)
-        for c in cls.__mro__[:-1]
+    """``cls`` as a frozen record without an instance dict, built once.
+
+    Its fields are its bases' fields, then one slot per name it annotates,
+    a ``ClassVar`` excepted.  A field whose name starts with ``_`` is
+    hidden: no default constructor takes it, and ``repr``, equality and
+    hash leave it out; copies and pickles carry every field.
+    ``__match_args__`` names the other fields, and ``_fields`` all of them.
+    A record keeps an ``__init__`` that it or a base writes, and otherwise
+    takes one that sets its fields from positional or keyword arguments.
+    Every other method is shared by all records."""
+    own = tuple(
+        name for name, annotation in cls.__annotations__.items() if not _CLASS_VAR(str(annotation))
     )
-    cls = dataclass(frozen=True, slots=True, init=init)(cls)
-    cls.__setattr__, cls.__delattr__ = _frozen_setattr, _frozen_delattr
+    fields = getattr(cls, "_fields", ()) + own
+    # The slotted class takes everything of this one but its dict and
+    # weakref descriptors.
+    namespace = {k: v for k, v in vars(cls).items() if k not in ("__dict__", "__weakref__")}
+    namespace.update(
+        __slots__=own,
+        _fields=fields,
+        __match_args__=tuple(name for name in fields if not name.startswith("_")),
+        __eq__=_record_eq,
+        __hash__=_record_hash,
+        __repr__=_record_repr,
+        __setattr__=_frozen_setattr,
+        __delattr__=_frozen_delattr,
+        __reduce__=_record_reduce,
+    )
+    if cls.__init__ is object.__init__:
+        namespace["__init__"] = _default_init
+    cls = type(cls)(cls.__name__, cls.__bases__, namespace)
+    cls._setters = {name: getattr(cls, name).__set__ for name in fields}
     return cls
+
+
+def _default_init(self, *values: object, **named: object) -> None:
+    """Set each public field, by position or by keyword."""
+    fields = type(self).__match_args__
+    values += tuple(named.pop(name) for name in fields[len(values) :] if name in named)
+    if named or len(values) != len(fields):
+        raise TypeError(f"{type(self).__name__}() takes each of {fields} once")
+    setters = type(self)._setters
+    for name, value in zip(fields, values):
+        setters[name](self, value)
+
+
+def _values(record: object) -> tuple:
+    """The record's fields that ``repr``, equality and hash read."""
+    return tuple(getattr(record, name) for name in type(record).__match_args__)
+
+
+def _record_eq(self, other: object) -> bool:
+    if type(other) is not type(self):
+        return NotImplemented
+    return _values(self) == _values(other)
+
+
+def _record_hash(self) -> int:
+    return hash(_values(self))
+
+
+def _record_repr(self) -> str:
+    fields = ", ".join(f"{name}={getattr(self, name)!r}" for name in type(self).__match_args__)
+    return f"{type(self).__qualname__}({fields})"
+
+
+def _record_reduce(self) -> tuple:
+    return _rebuild, (type(self), tuple(getattr(self, name) for name in self._fields))
+
+
+def _rebuild(cls: type, values: tuple) -> object:
+    """A copy or unpickled record: its fields set as they were, past any
+    checked constructor, since the original passed it."""
+    record = cls.__new__(cls)
+    for setter, value in zip(cls._setters.values(), values):
+        setter(record, value)
+    return record
 
 
 def _frozen_setattr(self: object, name: str, value: object) -> None:
@@ -109,9 +179,7 @@ _set_not_operand = Not.operand.__set__
 
 @_record
 class _Binary:
-    """The fields and constructor the four binary connectives share.  The
-    subclasses reuse these two slots: since Python 3.11, a slotted dataclass
-    leaves out the slots its base already has."""
+    """The fields and constructor the four binary connectives share."""
 
     left: "Formula"
     right: "Formula"

@@ -16,7 +16,6 @@ table, as a :class:`CnfFormula` holds its clauses, and builds the
 
 from __future__ import annotations
 
-from dataclasses import field
 from itertools import islice
 from typing import ClassVar, Iterable, Union
 
@@ -119,9 +118,7 @@ class HornFormula:
     """
 
     implications: tuple[HornImplication, ...]
-    _coded: tuple[tuple, tuple[int, ...], tuple[int, ...], tuple[int, ...]] = field(
-        init=False, repr=False, compare=False
-    )
+    _coded: tuple[tuple, tuple[int, ...], tuple[int, ...], tuple[int, ...]]
 
     def __init__(
         self, implications: tuple[HornImplication, ...] | None = None, *, coded: tuple | None = None

@@ -37,7 +37,6 @@ literals; the verum literal is the negation of falsum.
 
 from __future__ import annotations
 
-from dataclasses import field
 from itertools import chain, islice
 
 from .formula import And, Atom, Falsum, Formula, Iff, Implies, Not, Or, Valuation, Verum, _join, _record
@@ -76,7 +75,7 @@ class Literal:
     """A possibly negated atom; ``atom`` is a symbol name or ``BOT``."""
 
     atom: str
-    positive: bool = True
+    positive: bool
 
     def __init__(self, atom: str, positive: bool = True) -> None:
         if atom == TOP:
@@ -150,9 +149,7 @@ class CnfFormula:
     """
 
     clauses: tuple[Clause, ...]
-    _coded: tuple[tuple, tuple[int, ...], tuple[int, ...]] = field(
-        init=False, repr=False, compare=False
-    )
+    _coded: tuple[tuple, tuple[int, ...], tuple[int, ...]]
 
     def __init__(
         self, clauses: tuple[Clause, ...] | None = None, *, coded: tuple | None = None

@@ -3,10 +3,11 @@ in it, and the README's library example."""
 
 import ast
 import contextlib
-import dataclasses
 import importlib
 import io
 import re
+import subprocess
+import sys
 import tomllib
 from pathlib import Path
 
@@ -72,10 +73,10 @@ def test_every_import_is_used():
     assert unused == []
 
 
-def test_every_dataclass_is_slotted():
+def test_every_record_is_slotted():
     # A record built without its checked constructor would need
     # ``object.__new__`` and ``object.__setattr__``; neither may come back.
-    unslotted = []
+    unslotted, records = [], []
     for path in sorted(SOURCE.glob("*.py")):
         source = path.read_text(encoding="utf-8")
         for call in ("object.__new__", "object.__setattr__"):
@@ -85,14 +86,45 @@ def test_every_dataclass_is_slotted():
             continue
         module = importlib.import_module(f"hornsat.{path.stem}")
         for value in vars(module).values():
+            # ``_record`` gives every record it builds its field list.
             if (
                 isinstance(value, type)
                 and value.__module__ == module.__name__
-                and dataclasses.is_dataclass(value)
-                and "__slots__" not in vars(value)
+                and "_fields" in vars(value)
             ):
-                unslotted.append(f"{path.name} {value.__name__}")
+                records.append(value.__name__)
+                if "__slots__" not in vars(value):
+                    unslotted.append(f"{path.name} {value.__name__}")
+    assert len(records) == 20, records
     assert unslotted == []
+
+
+# Modules that a fresh interpreter adds to ``sys.modules`` by importing the CLI.
+_IMPORT_SCRIPT = """\
+import sys
+sys.path.insert(0, sys.argv[1])
+before = set(sys.modules)
+import hornsat.cli
+print(*sorted(set(sys.modules) - before))
+"""
+
+
+def test_importing_the_cli_loads_no_heavy_stdlib_module():
+    # One process per input is the usual way to run the CLI, so its start-up
+    # is part of every run.  Records are built without ``dataclasses``, which
+    # would load ``inspect`` and ``ast``, and ``json`` waits for
+    # ``trace --json``.  Modules loaded before the import, by a site hook
+    # say, do not count.
+    proc = subprocess.run(
+        [sys.executable, "-c", _IMPORT_SCRIPT, str(SOURCE.parent)],
+        capture_output=True,
+        text=True,
+        timeout=60,
+        check=True,
+    )
+    loaded = set(proc.stdout.split())
+    assert "hornsat.cli" in loaded
+    assert loaded & {"dataclasses", "inspect", "ast", "json"} == set()
 
 
 def test_slot_setters_are_bound_once():

@@ -2,7 +2,6 @@
 its own copies, replacements and pickles; checked on construction."""
 
 import copy
-import dataclasses
 import pickle
 
 import pytest
@@ -25,12 +24,14 @@ from hornsat import (
     Or,
     Top,
     Verum,
+    horn_from_clauses,
     horn_from_formula,
     parse_formula,
     solve,
+    to_cnf,
 )
 from hornsat.cli import TraceDocument, build_trace_document
-from hornsat.formula import _Binary, _record
+from hornsat.formula import FrozenInstanceError, _Binary, _record
 
 from helpers import UNSAT_CHAIN_TEXT
 
@@ -67,6 +68,12 @@ def _id(record):
     return type(record).__name__
 
 
+def _replace(record, **changes):
+    """``record`` built anew from its public fields by keyword, with
+    ``changes`` applied."""
+    return type(record)(**{name: getattr(record, name) for name in record.__match_args__} | changes)
+
+
 @pytest.mark.parametrize("record", RECORDS, ids=_id)
 def test_records_have_no_instance_dict(record):
     assert not hasattr(record, "__dict__")
@@ -75,41 +82,72 @@ def test_records_have_no_instance_dict(record):
 @pytest.mark.parametrize("record", RECORDS, ids=_id)
 def test_records_are_frozen(record):
     # Every name, not only the fields: Top's ``atoms`` is a class attribute.
-    for name in [field.name for field in dataclasses.fields(record)] + ["atoms", "other"]:
-        with pytest.raises(dataclasses.FrozenInstanceError):
+    for name in record._fields + ("atoms", "other"):
+        with pytest.raises(FrozenInstanceError):
             setattr(record, name, None)
-        with pytest.raises(dataclasses.FrozenInstanceError):
+        with pytest.raises(FrozenInstanceError):
             delattr(record, name)
 
 
 def _held_records(record):
     """``record`` and every record among its field values, recursively."""
     yield record
-    for field in dataclasses.fields(record):
-        value = getattr(record, field.name)
-        if dataclasses.is_dataclass(value):
+    for name in record._fields:
+        value = getattr(record, name)
+        if hasattr(value, "_fields"):
             yield from _held_records(value)
 
 
 @pytest.mark.parametrize("record", RECORDS, ids=_id)
 def test_records_hold_no_mutable_containers(record):
     for held in _held_records(record):
-        for field in dataclasses.fields(held):
+        for name in held._fields:
             # A trace document's model is a documented dict.
-            if (type(held), field.name) != (TraceDocument, "model"):
-                assert not isinstance(getattr(held, field.name), (list, dict, set)), field.name
+            if (type(held), name) != (TraceDocument, "model"):
+                assert not isinstance(getattr(held, name), (list, dict, set)), name
+
+
+DUPLICATES = [copy.copy, copy.deepcopy, lambda r: pickle.loads(pickle.dumps(r))]
+DUPLICATE_IDS = ["copy", "deepcopy", "pickle"]
 
 
 @pytest.mark.parametrize(
     "duplicate",
-    [dataclasses.replace, copy.copy, copy.deepcopy, lambda r: pickle.loads(pickle.dumps(r))],
-    ids=["replace", "copy", "deepcopy", "pickle"],
+    [_replace, *DUPLICATES],
+    ids=["replace", *DUPLICATE_IDS],
 )
 @pytest.mark.parametrize("record", RECORDS, ids=_id)
 def test_records_equal_their_duplicates(record, duplicate):
     twin = duplicate(record)
     assert type(twin) is type(record)
     assert twin == record and hash(twin) == hash(record)
+
+
+@pytest.mark.parametrize("duplicate", DUPLICATES, ids=DUPLICATE_IDS)
+@pytest.mark.parametrize("read_first", [False, True], ids=["unread", "read"])
+@pytest.mark.parametrize("lazy", ["clauses", "implications"])
+def test_code_built_formulas_equal_their_duplicates(lazy, read_first, duplicate):
+    # ``to_cnf`` and ``horn_from_clauses`` build their formulas from codes,
+    # and ``clauses`` or ``implications`` fills its slot on first read.
+    cnf = to_cnf(parse_formula("(p -> q) & ~(q & r) & p & (s | ~s)"))
+    formula = cnf if lazy == "clauses" else horn_from_clauses(cnf)
+    if read_first:
+        getattr(formula, lazy)
+    assert _slot_is_set(getattr(type(formula), lazy), formula) == read_first
+    twin = duplicate(formula)
+    assert type(twin) is type(formula)
+    assert twin._coded == formula._coded
+    assert twin == formula and hash(twin) == hash(formula)
+
+
+def _slot_is_set(slot, record):
+    """True iff ``slot`` holds a value in ``record``; reading it through its
+    descriptor does not reach the record's ``__getattr__``."""
+    try:
+        slot.__get__(record)
+    except AttributeError:
+        return False
+    return True
 
 
 def test_keyword_construction():
@@ -121,8 +159,24 @@ def test_keyword_construction():
     assert Or(left=P, right=Q) == Or(P, Q) != And(P, Q)
     assert Clause(literals=(Literal("p"),)).literals == (Literal("p"),)
     assert HornImplication(antecedent=Top(), consequent="q") == HornImplication(Top(), "q")
-    assert dataclasses.replace(Conj(("a", "b")), atoms=("c", "c")).atoms == ("c", "c")
-    assert dataclasses.replace(Literal("p"), positive=False) == Literal("p", False)
+    assert _replace(Conj(("a", "b")), atoms=("c", "c")).atoms == ("c", "c")
+    assert _replace(Literal("p"), positive=False) == Literal("p", False)
+
+
+def test_a_default_constructor_takes_each_field_once():
+    outcome = type(OUTCOME)(True, frozenset(), steps=1, trace=OUTCOME.trace)
+    assert (outcome.satisfiable, outcome.steps, outcome.trace) == (True, 1, OUTCOME.trace)
+    for args, kwargs in [
+        ((True, frozenset(), OUTCOME.trace), {}),
+        ((True, frozenset(), OUTCOME.trace, 1, 2), {}),
+        ((True, frozenset(), OUTCOME.trace, 1), {"steps": 1}),
+        ((True, frozenset(), OUTCOME.trace), {"steps": 1, "other": 2}),
+    ]:
+        with pytest.raises(TypeError):
+            type(OUTCOME)(*args, **kwargs)
+    assert Top() == Top()
+    with pytest.raises(TypeError):
+        Top(())
 
 
 def test_a_record_keeps_only_a_written_constructor():
@@ -154,7 +208,7 @@ def test_a_record_keeps_only_a_written_constructor():
         (lambda: Conj(("p", TOP)), "verum cannot occur inside an antecedent conjunction"),
         (lambda: HornImplication(Top(), TOP), "consequents are positive literals; verum is not one"),
         (
-            lambda: dataclasses.replace(Literal("p"), atom=TOP),
+            lambda: _replace(Literal("p"), atom=TOP),
             "verum is not atomic; use the negative falsum literal",
         ),
     ],
