@@ -107,6 +107,17 @@ def test_records_hold_no_mutable_containers(record):
                 assert not isinstance(getattr(held, name), (list, dict, set)), name
 
 
+def test_repr_and_hash_read_the_public_fields():
+    # The text and hash values the records had as dataclasses; ``_coded``
+    # is in neither.
+    assert repr(Or(P, Not(Q))) == "Or(left=Atom(name='p'), right=Not(operand=Atom(name='q')))"
+    assert repr(to_cnf(parse_formula("p"))) == (
+        "CnfFormula(clauses=(Clause(literals=(Literal(atom='p', positive=True),)),))"
+    )
+    for record in RECORDS:
+        assert hash(record) == hash(tuple(getattr(record, name) for name in record.__match_args__))
+
+
 DUPLICATES = [copy.copy, copy.deepcopy, lambda r: pickle.loads(pickle.dumps(r))]
 DUPLICATE_IDS = ["copy", "deepcopy", "pickle"]
 
