@@ -10,13 +10,17 @@ formula is an ordered conjunction of such implications.
 
 A :class:`HornFormula` holds its implications as atom codes on a name
 table, as a :class:`CnfFormula` holds its clauses, and builds the
-:class:`HornImplication` objects only when ``implications`` is read;
-:func:`horn_from_clauses` reads clause codes and writes implication codes.
+:class:`HornImplication` objects only when ``implications`` is read.
+:func:`horn_from_clauses` reads clause codes and writes implication codes:
+a parity mask, made in C, marks each literal positive or negated; Python
+code runs once per positive literal, and the antecedents are streamed out
+of the negated codes.
 """
 
 from __future__ import annotations
 
-from itertools import islice
+from itertools import chain, compress, islice
+from struct import Struct
 from typing import ClassVar, Iterable, Union
 
 from .formula import And, Formula, Implies, Verum, _join, _record
@@ -183,6 +187,11 @@ def basic_to_implication(clause: Clause) -> HornImplication:
 # Shared by every unit implication built from codes.
 _TOP = Top()
 
+# Byte tables for ``bytes.translate``: a low byte's parity, 1 for a
+# negated literal; and 1 for a negated literal of a kept clause only.
+_PARITY = bytes(range(2)) * 128
+_NEGATED = bytes(range(2)) + bytes(254)
+
 
 def horn_from_clauses(cnf: CnfFormula) -> HornFormula:
     """Map each clause to an implication, preserving clause order.
@@ -196,36 +205,54 @@ def horn_from_clauses(cnf: CnfFormula) -> HornFormula:
     Clause codes become implication codes on the same atom table: a
     clause's negative atoms are its antecedent as they are, repeats
     included, and its positive atom, or falsum, is the consequent.
+
+    A code's parity is its low byte's, so the low bytes through a parity
+    table make a mask, in C: 0 for a positive literal, 1 for a negated
+    one.  Python code runs once per positive literal, found with ``find``:
+    a walk over the clause lengths reaches its clause, whose first positive
+    code is its head, and each positive occurrence shortens the antecedent
+    by one.  The antecedents are the negated codes' atoms, streamed out by
+    ``compress`` over the mask.  A dropped clause's literals are marked 2,
+    so that neither pass reads them.
     """
     names, codes, clause_sizes = cnf._coded
-    heads: list[int] = []
-    sizes: list[int] = []
-    dropped: list[tuple[int, int]] = []  # where the clauses dropped as valid lie
-    end = 0
-    for index, size in enumerate(clause_sizes):
-        start, end = end, end + size
-        clause = codes[start:end]
-        if _TOP_CODE in clause:
-            dropped.append((start, end))
-            continue
-        head = -1  # the positive literal's code, once one is read
-        positives = 0
-        for code in clause:
-            if not code & 1:
-                positives += 1
-                if head < 0:
-                    head = code
-                elif code != head:
-                    raise NotHornError(index, cnf._clause(index))
-        heads.append(head >> 1 if head > 0 else _BOT_ATOM)
-        sizes.append(size - positives)
-    if dropped:
-        codes = list(codes)
-        for start, end in dropped:
-            codes[start:end] = bytes(end - start)  # even codes: no negative literal
-    # The antecedents, end to end, in one pass: a list grown atom by atom
-    # and then copied left the formula_cnf benchmark's peak RSS 8% higher.
-    body = tuple(code >> 1 for code in codes if code & 1)
+    # A bound ``pack`` takes the codes tuple as it is; ``struct.pack(format,
+    # *codes)`` copies it into a new argument tuple first, and its cache of
+    # compiled formats would keep one for each length it meets.
+    mask = Struct(f"<{len(codes)}I").pack(*codes)[::4].translate(_PARITY)
+    heads = [_BOT_ATOM] * len(clause_sizes)
+    sizes = list(clause_sizes)
+    kept = None  # one byte per clause, 0 for a dropped one, if any is
+    if _TOP_CODE in codes:  # mark each clause that holds it dropped
+        mask, kept = bytearray(mask), bytearray(b"\1") * len(clause_sizes)
+        index, end, at = -1, 0, -1
+        for _ in range(codes.count(_TOP_CODE)):
+            at = codes.index(_TOP_CODE, at + 1)
+            while end <= at:
+                index, start, end = index + 1, end, end + clause_sizes[index + 1]
+            mask[start:end] = b"\2" * (end - start)
+            kept[index] = 0
+    index, end, last = -1, 0, -1  # ``last``: the clause whose head is set
+    find = mask.find
+    at = find(0)
+    while at >= 0:
+        while end <= at:
+            index += 1
+            end += clause_sizes[index]
+        code = codes[at]
+        if index != last:
+            last, head = index, code
+            heads[index] = code >> 1
+        elif code != head:
+            raise NotHornError(index, cnf._clause(index))
+        sizes[index] -= 1
+        at = find(0, at + 1)
+    if kept is not None:
+        heads, sizes = compress(heads, kept), compress(sizes, kept)
+        mask = mask.translate(_NEGATED)
+    atoms = range(len(names))
+    atom_of = list(chain.from_iterable(zip(atoms, atoms)))  # code -> atom
+    body = tuple(map(atom_of.__getitem__, compress(codes, mask)))
     return HornFormula(coded=(names, tuple(heads), body, tuple(sizes)))
 
 

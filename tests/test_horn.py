@@ -31,6 +31,7 @@ from hornsat import (
     is_basic_horn,
     parse_dimacs,
     parse_formula,
+    to_cnf,
 )
 from hornsat.cli import _implication_lines
 
@@ -236,14 +237,31 @@ def test_implication_merge_law():
         assert equivalent(split, merged)
 
 
-_LITERALS = st.builds(Literal, st.sampled_from(("p", "q", "r", BOT)), st.booleans())
-_CNFS = st.lists(st.lists(_LITERALS, min_size=1, max_size=4), max_size=5).map(
-    lambda clauses: CnfFormula(tuple(Clause(tuple(literals)) for literals in clauses))
-)
+def _cnfs(atoms, leads=((),)):
+    """Up to five clauses of one to four literals over ``atoms``, after one
+    of the clause tuples in ``leads``."""
+    literals = st.lists(st.builds(Literal, st.sampled_from(atoms), st.booleans()), min_size=1, max_size=4)
+    clauses = st.lists(literals.map(lambda lits: Clause(tuple(lits))), max_size=5)
+    return st.builds(lambda lead, rest: CnfFormula((*lead, *rest)), st.sampled_from(leads), clauses)
+
+
+# A leading clause of the negations of a1 ... a300 makes ``a<k>`` atom k,
+# with literal codes 2k and 2k + 1: a128's are 256 and 257, a256's 512 and
+# 513, whose low bytes are those of 0 and 1.  The lead is dropped as valid
+# when it also holds the verum literal.
+_WIDE_NEGATIONS = [f"~a{k}" for k in range(1, 301)]
+_WIDE_LEAD = clause(*_WIDE_NEGATIONS)
+_WIDE_LEADS = ((_WIDE_LEAD,), (clause(*_WIDE_NEGATIONS, "top"),))
+_WIDE_ATOMS = ("a1", "a127", "a128", "a255", "a256", "a257", BOT)
+_CNFS = _cnfs(("p", "q", "r", BOT)) | _cnfs(_WIDE_ATOMS, _WIDE_LEADS)
 
 
 def _cnf(*clauses):
     return CnfFormula(tuple(clauses))
+
+
+def _wide(*clauses):
+    return _cnf(_WIDE_LEAD, *clauses)
 
 
 @given(_CNFS)
@@ -251,10 +269,16 @@ def _cnf(*clauses):
 @example(_cnf(clause("top", "p", "q")))
 @example(_cnf(clause("p", "top", "q")))
 @example(_cnf(clause("p", "q", "top")))
+@example(_cnf(clause("p", "q", "top"), clause("~r", "p", "r")))
 @example(_cnf(clause("p"), clause("bot", "p")))
 @example(_cnf(clause("bot"), clause("~bot", "~p")))
 @example(_cnf(clause("~p", "q", "~p", "~r", "~q")))
 @example(_cnf(clause("q", "~p", "q"), clause("p", "p", "q")))
+@example(to_cnf(parse_formula("p | true")))
+@example(_wide(clause("a128", "~a256", "a128"), clause("~a128", "a256")))
+@example(_wide(clause("~a128", "~a256", "a1"), clause("~a1", "a128", "bot")))
+@example(_wide(clause("~a1", "a128", "a256")))
+@example(_wide(clause("a128", "top", "a256"), clause("~a256", "a128"), clause("a256", "a1")))
 def test_horn_from_clauses_matches_reference(cnf):
     assert outcome(horn_from_clauses, cnf) == outcome(reference_horn_from_clauses, cnf)
 
@@ -263,6 +287,8 @@ def test_horn_from_clauses_matches_reference_on_seeded_inputs():
     rng = random.Random(6)
     for _ in range(1_000):
         cnf = random_cnf(rng)
+        assert outcome(horn_from_clauses, cnf) == outcome(reference_horn_from_clauses, cnf)
+        cnf = CnfFormula((*rng.choice(_WIDE_LEADS), *random_cnf(rng, _WIDE_ATOMS).clauses))
         assert outcome(horn_from_clauses, cnf) == outcome(reference_horn_from_clauses, cnf)
         parsed = outcome(parse_dimacs, random_dimacs_text(rng))
         if parsed[0] == "returned":

@@ -26,6 +26,7 @@ from hornsat import (
     enumerate_valuations,
     equivalent,
     evaluate,
+    horn_from_clauses,
     parse_formula,
     symbols,
     to_cnf,
@@ -199,8 +200,13 @@ def test_read_once_copy_matches_reference(phi, budget):
     assert _conversion(to_cnf, phi, budget) == _conversion(reference_to_cnf, phi, budget)
 
 
+def _largest_blowup():
+    """``~((a0 | b0) & ... & (a14 | b14))``: 2^15 clauses of 15 negations."""
+    return Not(reduce(And, [Or(Atom(f"a{i}"), Atom(f"b{i}")) for i in range(15)]))
+
+
 def test_read_once_copy_drops_each_clause_list_as_it_copies():
-    blowup = Not(reduce(And, [Or(Atom(f"a{i}"), Atom(f"b{i}")) for i in range(15)]))
+    blowup = _largest_blowup()
     tracemalloc.start()
     try:
         cnf = to_cnf(blowup)
@@ -211,6 +217,22 @@ def test_read_once_copy_drops_each_clause_list_as_it_copies():
     # 8.52 MiB on CPython 3.11, as much as the clean-up loop it replaces;
     # 10.24 MiB when the clause lists are kept alive until the copy ends.
     assert peak < 9.25 * 2**20
+
+
+def test_horn_from_clauses_peak_memory_on_the_largest_blowup():
+    cnf = to_cnf(_largest_blowup())
+    tracemalloc.start()
+    try:
+        horn = horn_from_clauses(cnf)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert horn._coded[3] == (15,) * 2**15
+    # 5.22 MiB on CPython 3.11: the 3.75 MiB antecedent tuple, the parity
+    # mask and the heads and lengths (4.78 MiB before the mask).  Passing
+    # the codes as ``struct.pack(format, *codes)`` copies them into an
+    # argument tuple, 7.5 MiB.
+    assert peak < 6 * 2**20
 
 
 def test_to_cnf_matches_reference_passes_on_seeded_formulas():

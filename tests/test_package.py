@@ -113,8 +113,9 @@ def test_importing_the_cli_loads_no_heavy_stdlib_module():
     # One process per input is the usual way to run the CLI, so its start-up
     # is part of every run.  Records are built without ``dataclasses``, which
     # would load ``inspect`` and ``ast``, and ``json`` waits for
-    # ``trace --json``.  Modules loaded before the import, by a site hook
-    # say, do not count.
+    # ``trace --json``.  ``horn_from_clauses`` reads codes through
+    # ``struct``; ``array`` would be one more extension module to load.
+    # Modules loaded before the import, by a site hook say, do not count.
     proc = subprocess.run(
         [sys.executable, "-c", _IMPORT_SCRIPT, str(SOURCE.parent)],
         capture_output=True,
@@ -124,7 +125,7 @@ def test_importing_the_cli_loads_no_heavy_stdlib_module():
     )
     loaded = set(proc.stdout.split())
     assert "hornsat.cli" in loaded
-    assert loaded & {"dataclasses", "inspect", "ast", "json"} == set()
+    assert loaded & {"dataclasses", "inspect", "ast", "json", "array"} == set()
 
 
 def test_slot_setters_are_bound_once():
