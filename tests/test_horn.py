@@ -240,7 +240,8 @@ def test_implication_merge_law():
 def _cnfs(atoms, leads=((),)):
     """Up to five clauses of one to four literals over ``atoms``, after one
     of the clause tuples in ``leads``."""
-    literals = st.lists(st.builds(Literal, st.sampled_from(atoms), st.booleans()), min_size=1, max_size=4)
+    literal = st.builds(Literal, st.sampled_from(atoms), st.booleans())
+    literals = st.lists(literal, min_size=1, max_size=4)
     clauses = st.lists(literals.map(lambda lits: Clause(tuple(lits))), max_size=5)
     return st.builds(lambda lead, rest: CnfFormula((*lead, *rest)), st.sampled_from(leads), clauses)
 

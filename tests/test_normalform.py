@@ -229,9 +229,8 @@ def test_horn_from_clauses_peak_memory_on_the_largest_blowup():
         tracemalloc.stop()
     assert horn._coded[3] == (15,) * 2**15
     # 5.22 MiB on CPython 3.11: the 3.75 MiB antecedent tuple, the parity
-    # mask and the heads and lengths (4.78 MiB before the mask).  Passing
-    # the codes as ``struct.pack(format, *codes)`` copies them into an
-    # argument tuple, 7.5 MiB.
+    # mask and the heads and lengths (4.78 MiB before the mask); 7.5 MiB
+    # when ``struct.pack(format, *codes)`` copied the codes.
     assert peak < 6 * 2**20
 
 
