@@ -17,7 +17,7 @@ from itertools import islice
 from typing import Callable, Iterator, Sequence
 
 from .formula import _record
-from .horn import HornFormula, horn_from_clauses
+from .horn import HornFormula, _by_code, _negated, horn_from_clauses
 from .normalform import TOP, CnfFormula, to_cnf
 from .oracle import DEFAULT_SYMBOL_CAP, classify
 from .parsing import parse_dimacs, parse_formula
@@ -35,8 +35,7 @@ DEFAULT_CLAUSE_BUDGET = 100_000
 def _clause_lines(cnf: CnfFormula) -> Iterator[str]:
     """Each clause as ``convert`` prints it, from the codes."""
     names, codes, sizes = cnf._coded
-    literal = [text for name in names for text in (name, "~" + name)].__getitem__  # by code
-    codes = iter(codes)
+    literal, codes = _by_code(names, "~").__getitem__, iter(codes)
     for size in sizes:
         yield " | ".join(map(literal, islice(codes, size)))
 
@@ -44,8 +43,8 @@ def _clause_lines(cnf: CnfFormula) -> Iterator[str]:
 def _implication_lines(horn: HornFormula) -> Iterator[str]:
     """Each implication as ``antecedent -> consequent``, with ``top`` for
     the empty antecedent, from the codes."""
-    names, heads, body, sizes = horn._coded
-    atom, body = names.__getitem__, iter(body)
+    names, heads, codes, _, sizes = horn._coded
+    atom, body = _by_code(names).__getitem__, _negated(codes)
     for head, size in zip(heads, sizes):
         yield f"{' & '.join(map(atom, islice(body, size))) or TOP} -> {names[head]}"
 

@@ -8,20 +8,23 @@ an antecedent's ``atoms`` without asking which kind it is.  Antecedents
 keep their clause's negative atoms in order, repeats included.  A Horn
 formula is an ordered conjunction of such implications.
 
-A :class:`HornFormula` holds its implications as atom codes on a name
+A :class:`HornFormula` holds its implications as literal codes on a name
 table, as a :class:`CnfFormula` holds its clauses, and builds the
-:class:`HornImplication` objects only when ``implications`` is read.
-:func:`horn_from_clauses` reads clause codes and writes implication codes:
-a parity mask, made in C, marks each literal positive or negated; Python
-code runs once per positive literal, and the antecedents are streamed out
-of the negated codes.
+:class:`HornImplication` objects only when ``implications`` is read.  A
+basic Horn clause already is its implication, so the implication form of
+a CNF shares its clauses' codes: a negated code is an antecedent atom,
+and every reader skips the positive ones, which are the consequent.
+:func:`horn_from_clauses` finds the consequents and the antecedents'
+lengths: a parity mask, made in C, marks each literal positive or
+negated, and Python code runs once per positive literal.  It copies no
+literal unless a clause holds verum.
 """
 
 from __future__ import annotations
 
-from itertools import chain, compress, islice
+from itertools import compress, islice
 from struct import Struct
-from typing import ClassVar, Iterable, Union
+from typing import ClassVar, Iterable, Iterator, Union
 
 from .formula import And, Formula, Implies, Verum, _join, _record
 from .normalform import (
@@ -112,9 +115,15 @@ class HornFormula:
     The empty sequence marks the trivially true formula that remains when
     every clause of the source was dropped as valid.
 
-    ``_coded`` holds them as codes on an atom table, where atom 0 is
-    falsum: the table, each consequent's atom, the antecedents' atoms end
-    to end, and each antecedent's length, 0 for :class:`Top`.  The formula
+    ``_coded`` holds them as literal codes on an atom table, where atom 0
+    is falsum: the table, each consequent's atom, a run of codes per
+    implication end to end, each run's length, and each antecedent's
+    length, 0 for :class:`Top`.  A run's negated codes ``2a + 1`` are its
+    antecedent's atoms ``a`` in order; a positive code is its consequent,
+    which every reader skips.  From :func:`horn_from_clauses` the runs are
+    the clauses, in the very tuples of the :class:`CnfFormula`'s codes and
+    lengths unless a clause was dropped; encoded from ``implications``, a
+    run holds just the antecedent, so the two lengths agree.  The formula
     is built from ``implications``, which it encodes once, or by the
     package's own passes from ``coded``, when ``implications`` is built the
     first time it is read.  Equality, hash, copies and pickles go by
@@ -122,7 +131,7 @@ class HornFormula:
     """
 
     implications: tuple[HornImplication, ...]
-    _coded: tuple[tuple, tuple[int, ...], tuple[int, ...], tuple[int, ...]]
+    _coded: tuple[tuple, tuple[int, ...], tuple[int, ...], tuple[int, ...], tuple[int, ...]]
 
     def __init__(
         self, implications: tuple[HornImplication, ...] | None = None, *, coded: tuple | None = None
@@ -130,13 +139,13 @@ class HornFormula:
         if coded is None:
             code_of = {BOT: _BOT_ATOM}
             heads = [code_of.setdefault(imp.consequent, len(code_of)) for imp in implications]
-            body = [
-                code_of.setdefault(atom, len(code_of))
+            codes = [
+                2 * code_of.setdefault(atom, len(code_of)) + 1
                 for imp in implications
                 for atom in imp.antecedent.atoms
             ]
             sizes = tuple(len(imp.antecedent.atoms) for imp in implications)
-            coded = tuple(code_of), tuple(heads), tuple(body), sizes
+            coded = tuple(code_of), tuple(heads), tuple(codes), sizes, sizes
             _set_implications(self, implications)
         _set_horn_coded(self, coded)
 
@@ -145,8 +154,8 @@ class HornFormula:
         # built from codes, until it is first read.
         if name != "implications":
             raise AttributeError(f"{type(self).__name__!r} object has no attribute {name!r}")
-        names, heads, body, sizes = self._coded
-        atom, body = names.__getitem__, iter(body)
+        names, heads, codes, _, sizes = self._coded
+        atom, body = _by_code(names).__getitem__, _negated(codes)
         implications = tuple(
             HornImplication(Conj(map(atom, islice(body, size))) if size else _TOP, names[head])
             for head, size in zip(heads, sizes)
@@ -187,10 +196,23 @@ def basic_to_implication(clause: Clause) -> HornImplication:
 # Shared by every unit implication built from codes.
 _TOP = Top()
 
+
+def _by_code(names: tuple[str, ...], negation: str = "") -> list[str]:
+    """``names`` indexed by literal code: each atom's name at its positive
+    code, and after ``negation`` at its negated code."""
+    return [text for name in names for text in (name, negation + name)]
+
+
+def _negated(codes: tuple[int, ...]) -> Iterator[int]:
+    """The negated codes of ``codes``, in order: the antecedents' atoms, as
+    codes, end to end."""
+    return compress(codes, map((1).__and__, codes))
+
+
 # Byte tables for ``bytes.translate``: a low byte's parity, 1 for a
-# negated literal; and 1 for a negated literal of a kept clause only.
+# negated literal; and 1 for a literal of a kept clause, one not marked 2.
 _PARITY = bytes(range(2)) * 128
-_NEGATED = bytes(range(2)) + bytes(254)
+_KEPT = bytes((1, 1)) + bytes(254)
 
 
 def horn_from_clauses(cnf: CnfFormula) -> HornFormula:
@@ -202,34 +224,38 @@ def horn_from_clauses(cnf: CnfFormula) -> HornFormula:
     clause that has two or more distinct positive literals; a repeated
     positive literal counts once, as it does in :func:`to_cnf`.
 
-    Clause codes become implication codes on the same atom table: a
-    clause's negative atoms are its antecedent as they are, repeats
-    included, and its positive atom, or falsum, is the consequent.
+    Each clause is read as its implication, on the same atom table and
+    from the same codes: its negated atoms are the antecedent as they are,
+    repeats included, and its positive atom, or falsum, is the consequent.
+    So only the consequents and the antecedents' lengths are new.
 
     A code's parity is its low byte's, so the low bytes through a parity
     table make a mask, in C: 0 for a positive literal, 1 for a negated
     one.  Python code runs once per positive literal, found with ``find``:
     a walk over the clause lengths reaches its clause, whose first positive
     code is its head, and each positive occurrence shortens the antecedent
-    by one.  The antecedents are the negated codes' atoms, streamed out by
-    ``compress`` over the mask.  A dropped clause's literals are marked 2,
-    so that neither pass reads them.
+    by one.  A dropped clause's literals are marked 2, so that ``find``
+    skips them; its codes, length, head and antecedent length are then
+    compressed out, which is the only copy of the codes.
     """
-    names, codes, clause_sizes = cnf._coded
+    names, codes, spans = cnf._coded
     # A bound ``pack`` takes the codes tuple as it is; ``struct.pack(format,
     # *codes)`` copies it into a new argument tuple first, and its cache of
     # compiled formats would keep one for each length it meets.
-    mask = Struct(f"<{len(codes)}I").pack(*codes)[::4].translate(_PARITY)
-    heads = [_BOT_ATOM] * len(clause_sizes)
-    sizes = list(clause_sizes)
+    low = Struct(f"<{len(codes)}I").pack(*codes)[::4]
+    mask = low.translate(_PARITY)
+    heads = [_BOT_ATOM] * len(spans)
+    sizes = list(spans)
     kept = None  # one byte per clause, 0 for a dropped one, if any is
-    if _TOP_CODE in codes:  # mark each clause that holds it dropped
-        mask, kept = bytearray(mask), bytearray(b"\1") * len(clause_sizes)
+    # A low byte is 1 only for the codes 256k + 1, so the first test, one
+    # ``memchr``, clears most inputs without verum before a scan of the codes.
+    if _TOP_CODE in low and _TOP_CODE in codes:  # mark each clause that holds it dropped
+        mask, kept = bytearray(mask), bytearray(b"\1") * len(spans)
         index, end, at = -1, 0, -1
         for _ in range(codes.count(_TOP_CODE)):
             at = codes.index(_TOP_CODE, at + 1)
             while end <= at:
-                index, start, end = index + 1, end, end + clause_sizes[index + 1]
+                index, start, end = index + 1, end, end + spans[index + 1]
             mask[start:end] = b"\2" * (end - start)
             kept[index] = 0
     index, end, last = -1, 0, -1  # ``last``: the clause whose head is set
@@ -238,7 +264,7 @@ def horn_from_clauses(cnf: CnfFormula) -> HornFormula:
     while at >= 0:
         while end <= at:
             index += 1
-            end += clause_sizes[index]
+            end += spans[index]
         code = codes[at]
         if index != last:
             last, head = index, code
@@ -248,14 +274,9 @@ def horn_from_clauses(cnf: CnfFormula) -> HornFormula:
         sizes[index] -= 1
         at = find(0, at + 1)
     if kept is not None:
-        heads, sizes = compress(heads, kept), compress(sizes, kept)
-        mask = mask.translate(_NEGATED)
-    atoms = range(len(names))
-    atom_of = list(chain.from_iterable(zip(atoms, atoms)))  # code -> atom
-    # The antecedents, end to end, streamed into one tuple: a list grown
-    # atom by atom and then copied left formula_cnf's peak RSS 8% higher.
-    body = tuple(map(atom_of.__getitem__, compress(codes, mask)))
-    return HornFormula(coded=(names, tuple(heads), body, tuple(sizes)))
+        codes = tuple(compress(codes, mask.translate(_KEPT)))
+        spans, heads, sizes = (tuple(compress(column, kept)) for column in (spans, heads, sizes))
+    return HornFormula(coded=(names, tuple(heads), codes, spans, tuple(sizes)))
 
 
 def horn_from_formula(phi: Formula, max_clauses: int | None = None) -> HornFormula:
@@ -265,9 +286,9 @@ def horn_from_formula(phi: Formula, max_clauses: int | None = None) -> HornFormu
 
 def horn_symbols(phi: HornFormula) -> set[str]:
     """Propositional symbol names occurring in ``phi`` (constants excluded)."""
-    names, heads, body, _ = phi._coded
-    atoms = set(heads)
-    atoms.update(body)
+    names, heads, codes, _, _ = phi._coded
+    atoms = set(heads)  # which also holds the atom of every positive code
+    atoms.update(code >> 1 for code in set(codes))
     atoms.discard(_BOT_ATOM)
     return set(map(names.__getitem__, atoms))
 

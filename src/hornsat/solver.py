@@ -13,17 +13,20 @@ for any firing order, and a run over n implications takes at most n
 firings plus one terminal step.
 
 The engine follows the linear-time scheme of Dowling and Gallier without
-rescanning, on the formula's atom codes: the set is a ``bytearray`` with a
-flag per atom, and no implication object is built.  Its invariant: an
-unfired implication's count is the number of its antecedent atoms not in
-the set, one per occurrence, and each such atom lists the implications
-that miss it, in a list indexed by atom.  Only consequents can enter the
-set, so counting stops at a missing atom that is none: the count stays
-positive.  When an atom enters, the counts on its list drop by one, and an
-implication whose count reaches zero puts its input position on a
-min-heap.  As the set only grows, the heap's minimum is always the
-leftmost fireable implication.  Every antecedent atom is counted and
-decremented at most once: O(total antecedent size + n log n) time.
+rescanning, on the formula's literal codes, each implication's run read
+as it stands: the set is a ``bytearray`` with a flag per atom, mirrored
+at each atom's negated code in a flag per code whose positive codes are
+always set, so a run's consequent is never counted.  No implication
+object is built.  Its invariant: an unfired implication's count is the
+number of its antecedent atoms not in the set, one per occurrence, and
+each such atom lists the implications that miss it, in a list indexed by
+its negated code.  Only consequents can enter the set, so counting stops
+at a missing atom that is none: the count stays positive.  When an atom
+enters, the counts on its list drop by one, and an implication whose
+count reaches zero puts its input position on a min-heap.  As the set
+only grows, the heap's minimum is always the leftmost fireable
+implication.  Every antecedent atom is counted and decremented at most
+once: O(total clause size + n log n) time.
 
 A run is stored as the paper's recursion determines it: each call fires
 the leftmost fireable implication and adds its consequent, so the start
@@ -117,7 +120,7 @@ class Trace:
 
     def _consequents(self) -> Iterator[str]:
         """The consequent of each firing, in order."""
-        names, heads, _, _ = self.formula._coded
+        names, heads = self.formula._coded[:2]
         return (names[heads[index]] for index in self.fired)
 
     def _steps(self, k: int = 0) -> Iterator[TraceStep]:
@@ -167,23 +170,28 @@ def _fire(phi: HornFormula, current: bytearray, early_stop: bool) -> list[int]:
     """Fire implications of ``phi`` on ``current``, the set as a flag per
     atom, until none is fireable (or, with ``early_stop``, falsum is in
     it); the input positions fired, in order."""
-    _, heads, body, sizes = phi._coded
-    waiting: list[list[int] | None] = [None] * len(current)
-    for head in heads:
-        waiting[head] = []
+    _, heads, codes, spans, _ = phi._coded
+    # Per code, 0 for a negated code whose atom is not in the set; positive
+    # codes are 1, so a run's consequent is never counted.  Read only while
+    # counting, before anything fires.
+    present = bytearray(b"\1") * (2 * len(current))
+    present[1::2] = current
+    waiting: list[list[int] | None] = [None] * len(present)
+    for head in set(heads):
+        waiting[2 * head + 1] = []
     missing: list[int] = []  # per implication: antecedent atoms not in the set
     fireable: list[int] = []  # a min-heap of input positions
     end = 0
-    for index, size in enumerate(sizes):
-        start, end = end, end + size
+    for index, span in enumerate(spans):
+        start, end = end, end + span
         count = 0
-        if size and waiting[body[start]] is None and not current[body[start]]:
+        if span and waiting[codes[start]] is None and not present[codes[start]]:
             count = 1  # the loop would stop at this first atom; no slice needed
         else:
-            for atom in body[start:end]:
-                if not current[atom]:
+            for code in codes[start:end]:
+                if not present[code]:
                     count += 1
-                    waiters = waiting[atom]
+                    waiters = waiting[code]
                     if waiters is None:
                         break  # never enters the set, so this one never fires
                     waiters.append(index)
@@ -197,7 +205,7 @@ def _fire(phi: HornFormula, current: bytearray, early_stop: bool) -> list[int]:
         head = heads[index]
         if not current[head]:
             current[head] = 1
-            for waiter in waiting[head]:
+            for waiter in waiting[2 * head + 1]:
                 missing[waiter] -= 1
                 if not missing[waiter]:
                     heappush(fireable, waiter)
@@ -221,7 +229,7 @@ def precheck(phi: HornFormula) -> tuple[str, ...]:
     consequent is satisfiable; and with no verum antecedent nothing can
     fire from {verum}, so saturation stops immediately at {verum}.
     """
-    _, heads, _, sizes = phi._coded
+    _, heads, _, _, sizes = phi._coded
     reasons = []
     if _BOT_ATOM not in heads:
         reasons.append(SHORTCUT_NO_BOT_CONSEQUENT)

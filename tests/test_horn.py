@@ -34,6 +34,7 @@ from hornsat import (
     to_cnf,
 )
 from hornsat.cli import _implication_lines
+from hornsat.normalform import _TOP_CODE
 
 from helpers import (
     GOLDEN_SHORT,
@@ -280,18 +281,33 @@ def _wide(*clauses):
 @example(_wide(clause("~a128", "~a256", "a1"), clause("~a1", "a128", "bot")))
 @example(_wide(clause("~a1", "a128", "a256")))
 @example(_wide(clause("a128", "top", "a256"), clause("~a256", "a128"), clause("a256", "a1")))
+# A dropped clause before a non-Horn one, which keeps its input position,
+# and between kept ones, which the implications skip.
+@example(_cnf(clause("~p", "q"), clause("~q", "top"), clause("p", "~r", "q")))
+@example(_cnf(clause("~p", "q"), clause("~q", "top", "r"), clause("~r", "p"), clause("q", "~p")))
+@example(to_cnf(parse_formula("(p -> q) & (q | ~r | q) & r")))
 def test_horn_from_clauses_matches_reference(cnf):
-    assert outcome(horn_from_clauses, cnf) == outcome(reference_horn_from_clauses, cnf)
+    _assert_matches_reference(cnf)
 
 
 def test_horn_from_clauses_matches_reference_on_seeded_inputs():
     rng = random.Random(6)
     for _ in range(1_000):
-        cnf = random_cnf(rng)
-        assert outcome(horn_from_clauses, cnf) == outcome(reference_horn_from_clauses, cnf)
-        cnf = CnfFormula((*rng.choice(_WIDE_LEADS), *random_cnf(rng, _WIDE_ATOMS).clauses))
-        assert outcome(horn_from_clauses, cnf) == outcome(reference_horn_from_clauses, cnf)
+        _assert_matches_reference(random_cnf(rng))
+        _assert_matches_reference(
+            CnfFormula((*rng.choice(_WIDE_LEADS), *random_cnf(rng, _WIDE_ATOMS).clauses))
+        )
         parsed = outcome(parse_dimacs, random_dimacs_text(rng))
         if parsed[0] == "returned":
-            cnf = parsed[1]
-            assert outcome(horn_from_clauses, cnf) == outcome(reference_horn_from_clauses, cnf)
+            _assert_matches_reference(parsed[1])
+
+
+def _assert_matches_reference(cnf):
+    """``horn_from_clauses`` agrees with the reference; when no clause is
+    dropped, its implications hold the clauses' own codes and lengths."""
+    result = outcome(horn_from_clauses, cnf)
+    assert result == outcome(reference_horn_from_clauses, cnf)
+    _, codes, spans = cnf._coded
+    if result[0] == "returned" and _TOP_CODE not in codes:
+        assert result[1]._coded[2] is codes
+        assert result[1]._coded[3] is spans

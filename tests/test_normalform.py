@@ -227,11 +227,14 @@ def test_horn_from_clauses_peak_memory_on_the_largest_blowup():
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert horn._coded[3] == (15,) * 2**15
-    # 5.22 MiB on CPython 3.11: the 3.75 MiB antecedent tuple, the parity
-    # mask and the heads and lengths (4.78 MiB before the mask); 7.5 MiB
-    # when ``struct.pack(format, *codes)`` copied the codes.
-    assert peak < 6 * 2**20
+    assert horn._coded[4] == (15,) * 2**15
+    assert horn._coded[2] is cnf._coded[1]
+    # 2.34 MiB on CPython 3.11: the packed codes, their low bytes and the
+    # parity mask, then the heads and lengths; the implications share the
+    # clauses' codes.  5.22 MiB when the antecedents were copied into a
+    # tuple of their own, and 7.5 MiB before that, when
+    # ``struct.pack(format, *codes)`` also copied the codes.
+    assert peak < 3 * 2**20
 
 
 def test_to_cnf_matches_reference_passes_on_seeded_formulas():

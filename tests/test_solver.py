@@ -16,6 +16,7 @@ from hornsat import (
     SHORTCUT_NO_TOP_ANTECEDENT,
     TOP,
     Classification,
+    CnfFormula,
     Conj,
     HornFormula,
     HornImplication,
@@ -40,11 +41,14 @@ from helpers import (
     GOLDEN_UNSAT,
     SAT_CHAIN_TEXT,
     antecedent_atoms,
+    clause,
     doubled_chain,
     fan_out,
     long_antecedent,
+    outcome,
     planted_horn_dimacs,
     planted_unsat_dimacs,
+    random_cnf,
     random_horn,
     reference_saturate,
     reverse_chain,
@@ -104,12 +108,33 @@ def test_saturate_matches_leftmost_rescan(implications, extra, early_stop):
     assert_same_run(HornFormula(tuple(implications)), frozenset({TOP} | extra), early_stop)
 
 
+# Implications read off their clauses as they stand, with the head first
+# or repeated, and the implications they must run as.
+_CLAUSE_FORMS = (
+    (CnfFormula((clause("p", "~q"), clause("q"))), (rule(("q",), "p"), unit("q"))),
+    (CnfFormula((clause("p", "~q", "p"), clause("q"))), (rule(("q",), "p"), unit("q"))),
+    (parse_dimacs("p cnf 2 2\n2 -1 0\n1 0\n"), (rule(("x1",), "x2"), unit("x1"))),
+)
+
+
 def test_saturate_matches_leftmost_rescan_on_longer_runs():
     rng = random.Random(37)
     for _ in range(300):
         horn = random_horn(rng, "pqrstu", rng.randint(0, 30), bot_antecedent_rate=0.2)
         start = frozenset((TOP, *rng.sample("pqrstu", rng.randint(0, 2))))
         assert_same_run(horn, start, early_stop=rng.random() < 0.5)
+    for cnf, implications in _CLAUSE_FORMS:
+        horn = horn_from_clauses(cnf)
+        for early_stop in (False, True):
+            assert_same_run(horn, frozenset((TOP,)), early_stop)
+            expected = saturate(HornFormula(implications), frozenset((TOP,)), early_stop)
+            assert saturate(horn, frozenset((TOP,)), early_stop) == expected
+    # Clauses with heads anywhere, repeated literals and dropped clauses.
+    for _ in range(300):
+        result = outcome(horn_from_clauses, random_cnf(rng, ("p", "q", "r", "s", BOT)))
+        if result[0] == "returned":
+            start = frozenset((TOP, *rng.sample("pqrs", rng.randint(0, 2))))
+            assert_same_run(result[1], start, early_stop=rng.random() < 0.5)
 
 
 def test_saturate_matches_leftmost_rescan_at_benchmark_size():
