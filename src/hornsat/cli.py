@@ -21,7 +21,7 @@ from .horn import HornFormula, _by_code, _negated, horn_from_clauses
 from .normalform import TOP, CnfFormula, to_cnf
 from .oracle import DEFAULT_SYMBOL_CAP, classify
 from .parsing import parse_dimacs, parse_formula
-from .solver import SolveOutcome, Trace, precheck, solve
+from .solver import SolveOutcome, Trace, extract_model, precheck, solve
 
 __all__ = ["TraceDocument", "build_trace_document", "cli_main", "main"]
 
@@ -108,13 +108,12 @@ class _JsonAtoms(dict):
         return encoded
 
 
-def _json_block(items: list[str], depth: int, brackets: str = "[]") -> str:
-    """A JSON array (or, with ``brackets="{}"``, object) at nesting
-    ``depth`` of already encoded ``items``."""
+def _json_block(items: list[str], brackets: str = "[]") -> str:
+    """A JSON array (or, with ``brackets="{}"``, object) of already encoded
+    ``items``, as a value of the document's top-level object."""
     if not items:
         return brackets
-    pad = "\n" + "  " * (depth + 1)
-    return f"{brackets[0]}{pad}{(',' + pad).join(items)}\n{'  ' * depth}{brackets[1]}"
+    return f"{brackets[0]}\n    " + ",\n    ".join(items) + f"\n  {brackets[1]}"
 
 
 @_record
@@ -133,14 +132,15 @@ class TraceDocument:
     def to_json(self) -> str:
         """The document as ``json.dumps(..., indent=2)`` prints it: keys in
         field order, each set a sorted array, the model sorted by name.
-        A step's sets are laid out as non-empty arrays: every set of a run
-        holds ``top``, which :func:`saturate` requires of its start set."""
+        The steps, and each step's sets, are laid out as non-empty arrays:
+        every trace ends in its terminal step, and every set of a run holds
+        ``top``, which :func:`saturate` requires of its start set."""
         atoms = _JsonAtoms()
         parts = [
             '{\n  "input_formula": ',
             _json_str(self.input_formula),
             ',\n  "horn_form": ',
-            _json_block(list(map(_json_str, self.horn_form)), 1),
+            _json_block(list(map(_json_str, self.horn_form))),
             ',\n  "steps": ',
         ]
         opening = "[\n    {"
@@ -160,14 +160,14 @@ class TraceDocument:
                 f'\n      ],\n      "remaining_after": {remaining}\n    }}',
             )
             opening = ",\n    {"
-        parts.append("\n  ]" if self.steps else "[]")
+        parts.append("\n  ]")
         model = "null"
         if self.model is not None:
             entries = [f"{atoms[name]}: {value}" for name, value in sorted(self.model.items())]
-            model = _json_block(entries, 1, "{}")
+            model = _json_block(entries, "{}")
         parts += (
             ',\n  "final_set": ',
-            _json_block([atoms[name] for name in self.final_set], 1),
+            _json_block([atoms[name] for name in self.final_set]),
             ',\n  "verdict": ',
             _json_str(self.verdict),
             ',\n  "model": ',
@@ -246,14 +246,7 @@ def _run_solver(args: argparse.Namespace):
     horn = horn_from_clauses(cnf)
     shortcut = "; ".join(precheck(horn)) or None
     outcome = solve(horn, early_stop=True)
-    model = None
-    if outcome.satisfiable:
-        # The atom table names every symbol a model must name, and no other:
-        # ``to_cnf`` tables every atom of the formula, even one whose clauses
-        # are all dropped, and ``parse_dimacs`` every variable that occurs,
-        # none of them in a dropped clause, since no DIMACS literal is ~bot.
-        names = horn._coded[0][1:]
-        model = {name: int(name in outcome.final_set) for name in sorted(names)}
+    model = extract_model(horn, outcome.final_set) if outcome.satisfiable else None
     return text, horn, outcome, model, shortcut
 
 

@@ -43,24 +43,19 @@ class FrozenInstanceError(AttributeError):
     """An assignment to, or deletion of, an attribute of a record."""
 
 
-# ``ClassVar[...]`` as written, or as ``str`` prints it once evaluated.
-_CLASS_VAR = re.compile(r"(?:typing\.)?ClassVar\b").match
-
-
 def _record(cls: type) -> type:
     """``cls`` as a frozen record without an instance dict, built once.
 
     Its fields are its bases' fields, then one slot per name it annotates,
-    a ``ClassVar`` excepted.  A field whose name starts with ``_`` is
-    hidden: no default constructor takes it, and ``repr``, equality and
-    hash leave it out; copies and pickles carry every field.
+    so a class attribute is assigned without an annotation.  A field whose
+    name starts with ``_`` is hidden: no default constructor takes it, and
+    ``repr``, equality and hash leave it out; copies and pickles carry
+    every field.
     ``__match_args__`` names the other fields, and ``_fields`` all of them.
     A record keeps an ``__init__`` that it or a base writes, and otherwise
     takes one that sets its fields from positional or keyword arguments.
     Every other method is shared by all records."""
-    own = tuple(
-        name for name, annotation in cls.__annotations__.items() if not _CLASS_VAR(str(annotation))
-    )
+    own = tuple(cls.__annotations__)
     fields = getattr(cls, "_fields", ()) + own
     # The slotted class takes everything of this one but its dict and
     # weakref descriptors.

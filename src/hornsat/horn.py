@@ -24,7 +24,7 @@ from __future__ import annotations
 
 from itertools import compress, islice
 from struct import Struct
-from typing import ClassVar, Iterable, Iterator, Union
+from typing import Iterable, Iterator, Union
 
 from .formula import And, Formula, Implies, Verum, _join, _record
 from .normalform import (
@@ -49,7 +49,6 @@ __all__ = [
     "basic_to_implication",
     "horn_from_clauses",
     "horn_from_formula",
-    "horn_symbols",
     "horn_to_formula",
     "implication_to_formula",
     "is_basic_horn",
@@ -69,7 +68,7 @@ class NotHornError(ValueError):
 class Top:
     """The verum antecedent of a unit implication: the empty conjunction."""
 
-    atoms: ClassVar[tuple[str, ...]] = ()
+    atoms = ()  # a class attribute, not a field
 
 
 @_record
@@ -200,7 +199,10 @@ _TOP = Top()
 def _by_code(names: tuple[str, ...], negation: str = "") -> list[str]:
     """``names`` indexed by literal code: each atom's name at its positive
     code, and after ``negation`` at its negated code."""
-    return [text for name in names for text in (name, negation + name)]
+    by_code = [*names, *names]
+    by_code[::2] = names
+    by_code[1::2] = map(negation.__add__, names) if negation else names
+    return by_code
 
 
 def _negated(codes: tuple[int, ...]) -> Iterator[int]:
@@ -282,15 +284,6 @@ def horn_from_clauses(cnf: CnfFormula) -> HornFormula:
 def horn_from_formula(phi: Formula, max_clauses: int | None = None) -> HornFormula:
     """Convert an arbitrary formula: CNF conversion, then clause rewriting."""
     return horn_from_clauses(to_cnf(phi, max_clauses))
-
-
-def horn_symbols(phi: HornFormula) -> set[str]:
-    """Propositional symbol names occurring in ``phi`` (constants excluded)."""
-    names, heads, codes, _, _ = phi._coded
-    atoms = set(heads)  # which also holds the atom of every positive code
-    atoms.update(code >> 1 for code in set(codes))
-    atoms.discard(_BOT_ATOM)
-    return set(map(names.__getitem__, atoms))
 
 
 def implication_to_formula(imp: HornImplication) -> Formula:

@@ -44,7 +44,7 @@ from heapq import heappop, heappush
 from itertools import compress, islice
 
 from .formula import _record
-from .horn import HornFormula, HornImplication, horn_symbols
+from .horn import HornFormula, HornImplication
 from .normalform import _BOT_ATOM, BOT, TOP
 
 __all__ = [
@@ -241,13 +241,14 @@ def precheck(phi: HornFormula) -> tuple[str, ...]:
 def extract_model(phi: HornFormula, final_set: frozenset[str]) -> dict[str, int]:
     """Read the least model off a falsum-free final set.
 
-    Every symbol in the set maps to 1; every other symbol of ``phi`` maps
-    to 0.  The resulting valuation satisfies the formula reading of
-    ``phi``, and every model of ``phi`` assigns 1 wherever this one does.
+    The model names every symbol of ``phi``'s atom table, in sorted order,
+    and maps it to 1 exactly when it is in the set.  The table names every
+    symbol a model must name, and no other: :func:`to_cnf` tables every
+    atom of its formula, even one whose clauses are all dropped, and
+    :func:`parse_dimacs` every variable that occurs.  The resulting
+    valuation satisfies the formula reading of ``phi``, and every model of
+    ``phi`` assigns 1 wherever this one does.
     """
     if BOT in final_set:
         raise ValueError("no model: falsum is in the final set")
-    model = {atom: 1 for atom in sorted(final_set) if atom not in (BOT, TOP)}
-    for name in sorted(horn_symbols(phi)):
-        model.setdefault(name, 0)
-    return model
+    return {name: int(name in final_set) for name in sorted(phi._coded[0][1:])}

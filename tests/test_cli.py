@@ -36,7 +36,6 @@ from hornsat import (
     precheck,
     saturate,
     solve,
-    symbols,
     to_cnf,
 )
 from hornsat.cli import (
@@ -269,17 +268,15 @@ def test_solve_dimacs_unsat(write, capsys):
 
 
 def _extracted_model_line(text, dimacs):
-    """The model line of ``solve`` as ``extract_model`` plus a 0 for each
-    formula symbol that no implication names; None for UNSAT."""
-    phi = None if dimacs else parse_formula(text)
-    cnf = parse_dimacs(text) if dimacs else to_cnf(phi, max_clauses=DEFAULT_CLAUSE_BUDGET)
+    """The model line of ``solve`` as ``extract_model`` gives it, which
+    names every symbol of the input; None for UNSAT."""
+    cnf = parse_dimacs(text) if dimacs else to_cnf(parse_formula(text), DEFAULT_CLAUSE_BUDGET)
     horn = horn_from_clauses(cnf)
     outcome = solve(horn, early_stop=True)
     if not outcome.satisfiable:
         return None
     model = extract_model(horn, outcome.final_set)
-    for name in () if phi is None else symbols(phi):
-        model.setdefault(name, 0)
+    assert set(model) == cnf.symbols()
     return " ".join(f"{name}={model[name]}" for name in sorted(model))
 
 
@@ -290,9 +287,10 @@ def _extracted_model_line(text, dimacs):
     )
 )
 @example(("(q | ~q) & p", False))  # q is only in a clause dropped as valid
+@example(("q & (p | true)", False))  # the model line is p=0 q=1
 @example(("p cnf 3 2\n-1 2 0\n-2 0\n", True))  # x3 is in no clause, so unnamed
 def test_solve_model_names_every_input_symbol(case):
-    # The CLI names the model in one walk over the input's symbols.
+    # The CLI names the model as extract_model does: every input symbol.
     text, dimacs = case
     code, out, _ = run_cli(["solve", "-", *(["--dimacs"] if dimacs else [])], text)
     try:
@@ -740,14 +738,9 @@ def test_trace_rendering_matches_reference_on_seeded_runs():
 )
 @pytest.mark.parametrize("json_flag", [[], ["--json"]])
 def test_trace_output_matches_reference(write, capsys, text, json_flag):
-    phi = parse_formula(text)
-    horn = horn_from_clauses(to_cnf(phi))
+    horn = horn_from_clauses(to_cnf(parse_formula(text)))
     outcome = solve(horn, early_stop=True)
-    model = None
-    if outcome.satisfiable:
-        model = extract_model(horn, outcome.final_set)
-        for name in symbols(phi):
-            model.setdefault(name, 0)
+    model = extract_model(horn, outcome.final_set) if outcome.satisfiable else None
     shortcut = "; ".join(precheck(horn)) or None
     document = build_trace_document(text, horn, outcome, model, shortcut)
     render = reference_trace_json if json_flag else reference_trace_text

@@ -25,7 +25,6 @@ from hornsat import (
     equivalent,
     horn_from_clauses,
     horn_from_formula,
-    horn_symbols,
     horn_to_formula,
     implication_to_formula,
     is_basic_horn,
@@ -186,11 +185,6 @@ def test_top_is_a_fieldless_empty_conjunction():
     assert Top().atoms == ()
     assert list(_implication_lines(HornFormula((unit("p"),)))) == ["top -> p"]
     assert implication_to_formula(unit("p")) == Implies(Verum(), Atom("p"))
-
-
-def test_horn_symbols():
-    assert horn_symbols(GOLDEN_UNSAT) == {"p", "q", "r", "s"}
-    assert horn_symbols(HornFormula((rule((BOT, "a"), BOT),))) == {"a"}
 
 
 def test_horn_readback_matches_source():

@@ -126,9 +126,11 @@ def test_literal_rejects_verum_atom():
 
 
 @given(formula_strategy())
+@example(parse_formula("p | true"))  # p is only in a clause dropped as valid
 def test_cnf_is_equivalent_to_source(phi):
     cnf = to_cnf(phi)
-    for valuation in enumerate_valuations(symbols(phi) | cnf.symbols()):
+    assert cnf.symbols() == symbols(phi)
+    for valuation in enumerate_valuations(symbols(phi)):
         value = evaluate(phi, valuation)
         assert cnf.evaluate(valuation) == value
         assert evaluate(cnf.to_formula(), valuation) == value
@@ -205,17 +207,20 @@ def _largest_blowup():
     return Not(reduce(And, [Or(Atom(f"a{i}"), Atom(f"b{i}")) for i in range(15)]))
 
 
-def test_read_once_copy_drops_each_clause_list_as_it_copies():
-    blowup = _largest_blowup()
+@pytest.mark.parametrize("cleaned", [False, True], ids=["read-once", "cleaned"])
+def test_the_one_copy_drops_each_clause_list_as_it_copies(cleaned):
+    # ``& a0`` reads a0 twice, so the clauses go through the clean-up first.
+    phi = And(_largest_blowup(), Atom("a0")) if cleaned else _largest_blowup()
     tracemalloc.start()
     try:
-        cnf = to_cnf(blowup)
+        cnf = to_cnf(phi)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert cnf._coded[2] == (15,) * 2**15
-    # 8.52 MiB on CPython 3.11, as much as the clean-up loop it replaces;
-    # 10.24 MiB when the clause lists are kept alive until the copy ends.
+    assert _clause_lists(phi, None)[2] is not cleaned
+    assert cnf._coded[2] == (15,) * 2**15 + ((1,) if cleaned else ())
+    # 8.52 MiB on CPython 3.11 either way; 10.24 MiB when the clause lists
+    # are kept alive until the copy ends.
     assert peak < 9.25 * 2**20
 
 

@@ -218,7 +218,6 @@ def test_public_names_are_exactly_these():
         "extract_model",
         "horn_from_clauses",
         "horn_from_formula",
-        "horn_symbols",
         "horn_to_formula",
         "implication_to_formula",
         "is_basic_horn",

@@ -24,6 +24,7 @@ from hornsat import (
     classify,
     extract_model,
     horn_from_clauses,
+    horn_from_formula,
     horn_to_formula,
     models,
     parse_dimacs,
@@ -301,6 +302,9 @@ def test_extract_model_golden():
 
 def test_extract_model_trivially_true():
     assert extract_model(HornFormula(()), frozenset((TOP,))) == {}
+    # p is only in a clause dropped as valid, and still named.
+    horn = horn_from_formula(parse_formula("p | true"))
+    assert extract_model(horn, frozenset((TOP,))) == {"p": 0}
 
 
 def test_extract_model_is_least():
