@@ -12,7 +12,10 @@ polarity, and an implication reads its left side flipped.  A node that
 is a conjunction under its polarity concatenates its children's clause
 lists; a disjunction takes their product.  A chain of such nodes, of
 any nesting, is flattened and combined left to right, so that a
-right-nested chain costs no more than a left-nested one.  A
+right-nested chain costs no more than a left-nested one.  Facts and
+rules already are clauses, so each run of literals in a chain, and of
+literals and rules in a conjunctive one, is read in one step, and the
+clause budget is checked as each run or other operand is added.  A
 biconditional is read as the conjunction of both implications, or when
 negative as ``(a & ~b) | (~a & b)``.  No negation normal form tree is
 built.
@@ -210,29 +213,81 @@ _set_cnf_coded = CnfFormula._coded.__set__
 _CONCAT = object()
 _PRODUCT = object()
 
+_CHAIN_TYPES = (And, Or, Implies)
+# A lone leaf is read as a chain of one literal.
+_READ_AS_CHAIN = frozenset({*_CHAIN_TYPES, Atom, Falsum, Verum})
 
-def _chain_operands(node: Formula, positive: bool) -> list[tuple[Formula, bool]]:
+
+def _clause_of(node: Formula, positive: bool) -> list[tuple[str, bool]] | None:
+    """The literals, left to right, of ``node`` if it is a literal or a
+    chain of disjunctions of literals, negations included: ``(key,
+    negated)`` pairs whose key is an atom's name, or ``BOT`` for both
+    constants.  Otherwise None."""
+    clause = []
+    pending = [(node, positive)]
+    while pending:
+        sub, sign = pending.pop()
+        kind = type(sub)
+        while kind is Not:
+            sub, sign = sub.operand, not sign
+            kind = type(sub)
+        if kind is Atom:
+            clause.append((sub.name, not sign))
+        elif kind in _CHAIN_TYPES and (kind is And) != sign:
+            pending.append((sub.right, sign))
+            pending.append((sub.left, not sign if kind is Implies else sign))
+        elif kind is Falsum:
+            clause.append((BOT, not sign))
+        elif kind is Verum:
+            clause.append((BOT, sign))
+        else:
+            return None
+    return clause
+
+
+def _chain_operands(node: Formula, positive: bool) -> list[tuple[object, bool]]:
     """The operands, left to right, of the largest chain of connectives
     below ``node`` that are conjunctions under their polarity, or of the
-    largest chain that are disjunctions, negations included.
+    largest chain that are disjunctions, negations included, with each run
+    of consecutive clause-shaped operands folded into one.
 
     Concatenation and the product of clause lists are associative, so the
     chain has the clause list of its binary tree whatever the nesting;
     folding it left to right copies each operand once, which keeps
     right-nested chains linear.
+
+    A literal is clause-shaped, and in a conjunctive chain so is a rule,
+    a disjunctive chain of literals.  A run is a list of clauses as
+    :func:`_clause_of` gives them: in a conjunctive chain one per literal
+    or rule, in a disjunctive chain one clause of all its literals.
     """
-    conjunctive = isinstance(node, And) == positive
-    operands: list[tuple[Formula, bool]] = []
+    conjunctive = (type(node) is And) == positive
+    operands: list[tuple[object, bool]] = []
+    add = None  # adds a clause to the open run
     pending: list[tuple[Formula, bool]] = [(node, positive)]
     while pending:
         sub, sign = pending.pop()
-        while isinstance(sub, Not):
+        kind = type(sub)
+        while kind is Not:
             sub, sign = sub.operand, not sign
-        if isinstance(sub, (And, Or, Implies)) and (isinstance(sub, And) == sign) == conjunctive:
+            kind = type(sub)
+        if kind is Atom:  # the commonest operand, read without a call
+            clause = [(sub.name, not sign)]
+        elif kind in _CHAIN_TYPES and ((kind is And) == sign) == conjunctive:
             pending.append((sub.right, sign))
-            pending.append((sub.left, not sign if isinstance(sub, Implies) else sign))
+            pending.append((sub.left, not sign if kind is Implies else sign))
+            continue
         else:
-            operands.append((sub, sign))
+            clause = _clause_of(sub, sign)
+            if clause is None:
+                operands.append((sub, sign))
+                add = None
+                continue
+        if add is None:
+            run = [] if conjunctive else [[]]
+            operands.append((run, positive))
+            add = run.append if conjunctive else run[0].extend
+        add(clause)
     return operands
 
 
@@ -244,14 +299,19 @@ def _clause_lists(phi: Formula, budget: int | None) -> tuple[list[list[int]], li
     Every clause list on the value stack, and every clause in it, has
     exactly one owner, so concatenation and a product with a single
     right-hand clause extend in place.
+
+    A run of more than one literal checks its clause count against the
+    budget before the next operand is read, as the markers joining its
+    literals one at a time would have; so a formula over the budget fails
+    at the same operand, and a non-formula past that point is never read.
     """
-    names = [BOT]
+    code_of = {BOT: _BOT_ATOM}
     leaves = 0  # atoms and constants read; a biconditional reads its sides twice
-    atom_of: dict[str, int] = {}
     todo: list[tuple[object, bool]] = [(phi, True)]
     values: list[list[list[int]]] = []
     while todo:
         node, positive = todo.pop()
+        kind = type(node)
         if node is _CONCAT:
             right = values.pop()
             left = values[-1]
@@ -270,31 +330,31 @@ def _clause_lists(phi: Formula, budget: int | None) -> tuple[list[list[int]], li
                 values.append(left)
             else:
                 values.append([lc + rc for lc in left for rc in right])
-        elif isinstance(node, Atom):
-            leaves += 1
-            atom = atom_of.get(node.name)
-            if atom is None:
-                atom = atom_of[node.name] = len(names)
-                names.append(node.name)
-            values.append([[2 * atom + (not positive)]])
-        elif isinstance(node, Falsum):
-            leaves += 1
-            values.append([[_BOT_CODE if positive else _TOP_CODE]])
-        elif isinstance(node, Verum):
-            leaves += 1
-            values.append([[_TOP_CODE if positive else _BOT_CODE]])
-        elif isinstance(node, Not):
+        elif kind is list:
+            # A run: each literal's atom gets the next code on first sight.
+            count = sum(map(len, node))
+            leaves += count
+            if budget is not None and count > 1 and len(node) > budget:
+                raise ClauseBudgetError(f"conversion exceeds the budget of {budget} clauses")
+            atom = code_of.setdefault
+            if count == len(node):
+                values.append([[2 * atom(key, len(code_of)) + negated] for [(key, negated)] in node])
+            else:
+                values.append(
+                    [[2 * atom(key, len(code_of)) + negated for key, negated in clause] for clause in node]
+                )
+        elif kind is Not:
             todo.append((node.operand, not positive))
-        elif isinstance(node, Iff):
+        elif kind is Iff:
             a, b = node.left, node.right
             if positive:
                 todo.append((And(Implies(a, b), Implies(b, a)), True))
             else:
                 todo.append((Or(And(a, Not(b)), And(Not(a), b)), True))
-        elif isinstance(node, (And, Or, Implies)):
+        elif kind in _READ_AS_CHAIN:
             # Operand 1, operand 2, marker, operand 3, marker, ...: the
             # budget is checked as soon as each operand is combined.
-            combine = (_CONCAT if isinstance(node, And) == positive else _PRODUCT, positive)
+            combine = (_CONCAT if (kind is And) == positive else _PRODUCT, positive)
             operands = _chain_operands(node, positive)
             for operand in reversed(operands[1:]):
                 todo.append(combine)
@@ -305,7 +365,7 @@ def _clause_lists(phi: Formula, budget: int | None) -> tuple[list[list[int]], li
     # A single leaf, however negated, never reaches a combine marker.
     if budget is not None and len(values[0]) > budget:
         raise ClauseBudgetError(f"conversion exceeds the budget of {budget} clauses")
-    return values[0], names, leaves == len(names) - 1
+    return values[0], list(code_of), leaves == len(code_of) - 1
 
 
 def to_cnf(phi: Formula, max_clauses: int | None = None) -> CnfFormula:

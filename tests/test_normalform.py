@@ -153,6 +153,8 @@ def _conversion(convert, phi, budget):
 
 p, q = Atom("p"), Atom("q")
 
+_FACTS_AND_RULES = "p & (p & q -> r) & (true -> s) & (r -> false) & (q & q -> s) & (p -> true) & q"
+
 
 @given(formula_strategy(max_leaves=12), st.one_of(st.none(), st.integers(0, 8)))
 @example(Iff(p, Not(q)), None)
@@ -166,8 +168,28 @@ p, q = Atom("p"), Atom("q")
 @example(p, 0)
 @example(Not(Not(p)), 0)
 @example(Verum(), 0)
+# Facts and rules, one run of seven clauses: a fact, a rule, a true
+# antecedent, a false head, a repeated antecedent atom and a valid clause;
+# its budget fits the seven clauses, and then falls one short of them.
+@example(parse_formula(_FACTS_AND_RULES), None)
+@example(parse_formula(_FACTS_AND_RULES), 7)
+@example(parse_formula(_FACTS_AND_RULES), 6)
+@example(parse_formula("c & ~(a & b) & d"), None)
+@example(parse_formula("(a & (b & c) -> d)"), None)
+@example(parse_formula("(a & (b & c) -> d)"), 1)
+@example(parse_formula("(a & (b & c) -> d)"), 0)
+@example(parse_formula("a & (b -> c) & (c <-> d) & (d -> e) & f"), None)
+@example(parse_formula("a & (b -> c) & (c <-> d) & (d -> e) & f"), 6)
+@example(parse_formula("a & (b -> c) & (c <-> d) & (d -> e) & f"), 5)
 def test_to_cnf_matches_reference_passes(phi, budget):
-    assert _conversion(to_cnf, phi, budget) == _conversion(reference_to_cnf, phi, budget)
+    converted = _conversion(to_cnf, phi, budget)
+    assert converted == _conversion(reference_to_cnf, phi, budget)
+    # Without a biconditional, atoms take their codes in the order they
+    # are first read, left to right, whichever clauses they end up in.
+    leaves = _leaves(phi)
+    if leaves is not None and not isinstance(converted, str):
+        names = (leaf.name for leaf in leaves if isinstance(leaf, Atom))
+        assert to_cnf(phi, budget)._coded[0] == (BOT, *dict.fromkeys(names))
 
 
 def _leaves(phi):
@@ -255,12 +277,22 @@ def _atoms(count):
 
 
 def test_left_deep_conjunction_converts_in_linear_time():
-    atoms = _atoms(100_000)
-    phi = reduce(And, atoms)
-    started = time.perf_counter()
-    clauses = to_cnf(phi).clauses
-    assert time.perf_counter() - started < 10
-    assert [c.literals[0].atom for c in clauses] == [a.name for a in atoms]
+    # 100,000 facts, and 50,000 rules ``(a_i & b_i -> c_i)``: one run of
+    # clauses each, which a quadratic join would make too slow.
+    facts = [(atom, (Literal(atom.name),)) for atom in _atoms(100_000)]
+    rules = [
+        (
+            Implies(And(Atom(f"a{i}"), Atom(f"b{i}")), Atom(f"c{i}")),
+            (Literal(f"a{i}", False), Literal(f"b{i}", False), Literal(f"c{i}")),
+        )
+        for i in range(50_000)
+    ]
+    for operands in (facts, rules):
+        phi = reduce(And, [operand for operand, _ in operands])
+        started = time.perf_counter()
+        clauses = to_cnf(phi).clauses
+        assert time.perf_counter() - started < 10
+        assert [c.literals for c in clauses] == [literals for _, literals in operands]
 
 
 def test_left_deep_disjunction_converts_in_linear_time():
@@ -322,6 +354,19 @@ def test_budget_stops_a_chain_at_the_first_operand_over_it():
         to_cnf(And(blowup, And(blowup, object())), max_clauses=10)
     with pytest.raises(ClauseBudgetError):
         to_cnf(Or(Or(blowup, blowup), object()), max_clauses=10)
+    # Literals and rules are read a run at a time; a run still stops at
+    # the first clause over the budget, and one literal alone never does.
+    r = Atom("r")
+    for phi, budget in (
+        (Or(Or(Not(p), q), object()), 0),  # one clause of two literals
+        (And(And(p, q), object()), 0),  # two unit clauses
+        (And(And(Implies(And(p, q), r), Implies(p, q)), object()), 1),  # two rules
+    ):
+        with pytest.raises(ClauseBudgetError):
+            to_cnf(phi, max_clauses=budget)
+    for phi in (And(p, object()), Or(p, object())):
+        with pytest.raises(TypeError, match="not a formula"):
+            to_cnf(phi, max_clauses=0)
 
 
 def test_solve_flat_conjunction_end_to_end(tmp_path, capsys):
