@@ -8,13 +8,13 @@ from the single handler in :func:`cli_main`.
 
 from __future__ import annotations
 
-import argparse
 import gc
+import re
 import sys
 from bisect import bisect_right
-from functools import cache
 from itertools import islice
-from typing import Callable, Iterator, Sequence
+from types import SimpleNamespace
+from typing import Callable, Iterator, NoReturn, Sequence
 
 from .formula import _record
 from .horn import HornFormula, _by_code, _negated, horn_from_clauses
@@ -229,11 +229,18 @@ def _read_input(path: str) -> str:
         if sys.stdin is None:
             raise OSError("standard input is closed")
         return sys.stdin.read()
-    with open(path, "r", encoding="utf-8") as handle:
-        return handle.read()
+    # A text-mode stream decodes through a Python-level codec class, which
+    # costs more than the read on a small file.  The file is decoded whole,
+    # as that stream decodes it, and its line ends translated as universal
+    # newlines translate them.
+    with open(path, "rb", buffering=0) as handle:
+        text = handle.read().decode("utf-8")
+    if "\r" in text:
+        text = text.replace("\r\n", "\n").replace("\r", "\n")
+    return text
 
 
-def _load_cnf(args: argparse.Namespace) -> tuple[str, CnfFormula]:
+def _load_cnf(args: SimpleNamespace) -> tuple[str, CnfFormula]:
     """Read the input and produce its clauses."""
     text = _read_input(args.path)
     if args.dimacs:
@@ -241,7 +248,7 @@ def _load_cnf(args: argparse.Namespace) -> tuple[str, CnfFormula]:
     return text, to_cnf(parse_formula(text), max_clauses=args.max_clauses)
 
 
-def _run_solver(args: argparse.Namespace):
+def _run_solver(args: SimpleNamespace):
     text, cnf = _load_cnf(args)
     horn = horn_from_clauses(cnf)
     shortcut = "; ".join(precheck(horn)) or None
@@ -250,7 +257,7 @@ def _run_solver(args: argparse.Namespace):
     return text, horn, outcome, model, shortcut
 
 
-def _cmd_solve(args: argparse.Namespace) -> int:
+def _cmd_solve(args: SimpleNamespace) -> int:
     _, _, outcome, model, shortcut = _run_solver(args)
     if shortcut and not args.no_precheck:
         print(f"note: shortcut: {shortcut}", file=sys.stderr)
@@ -263,14 +270,14 @@ def _cmd_solve(args: argparse.Namespace) -> int:
     return EXIT_UNSAT
 
 
-def _cmd_trace(args: argparse.Namespace) -> int:
+def _cmd_trace(args: SimpleNamespace) -> int:
     text, horn, outcome, model, shortcut = _run_solver(args)
     document = build_trace_document(text, horn, outcome, model, shortcut)
     print(document.to_json() if args.json else document.to_text())
     return EXIT_SAT if outcome.satisfiable else EXIT_UNSAT
 
 
-def _cmd_convert(args: argparse.Namespace) -> int:
+def _cmd_convert(args: SimpleNamespace) -> int:
     _, cnf = _load_cnf(args)
     print("clauses:")
     for line in _clause_lines(cnf):
@@ -282,80 +289,145 @@ def _cmd_convert(args: argparse.Namespace) -> int:
     return 0
 
 
-def _cmd_classify(args: argparse.Namespace) -> int:
+def _cmd_classify(args: SimpleNamespace) -> int:
     verdict = classify(parse_formula(_read_input(args.path)), cap=args.max_symbols)
     print(verdict.value.capitalize())
     return 0
 
 
-def _non_negative(text: str) -> int:
-    try:
-        value = int(text)
-    except ValueError:
-        raise argparse.ArgumentTypeError(f"invalid int value: {text!r}") from None
-    if value < 0:
-        raise argparse.ArgumentTypeError(f"must be non-negative, got {value}")
-    return value
+# Each command's handler and options.  An option whose default is False is
+# a flag; one with an int default takes a non-negative int N.
+_INPUT_OPTIONS = {"--dimacs": False, "--max-clauses": DEFAULT_CLAUSE_BUDGET}
+_COMMANDS = {
+    "solve": (_cmd_solve, {**_INPUT_OPTIONS, "--no-precheck": False}),
+    "trace": (_cmd_trace, {**_INPUT_OPTIONS, "--json": False}),
+    "convert": (_cmd_convert, _INPUT_OPTIONS),
+    "classify": (_cmd_classify, {"--max-symbols": DEFAULT_SYMBOL_CAP}),
+}
+
+_USAGE = """\
+usage: hornsat solve    <file|->  [--dimacs] [--no-precheck] [--max-clauses N]
+       hornsat trace    <file|->  [--json] [--dimacs] [--max-clauses N]
+       hornsat convert  <file|->  [--dimacs] [--max-clauses N]
+       hornsat classify <file|->  [--max-symbols N]"""
+
+_HELP = f"""{_USAGE}
+
+Decide Horn-clause satisfiability with step traces and least models.
+The input is a file, or - for standard input.
+
+  solve            decide satisfiability (exit 10 SAT, 20 UNSAT)
+  trace            solve and emit the full run as text or JSON
+  convert          print the clause list and the implication form
+  classify         truth-table verdict: Valid/Satisfiable/Contradictory
+
+  --dimacs         read DIMACS CNF instead of formula text
+  --max-clauses N  abort CNF conversion beyond N clauses (default {DEFAULT_CLAUSE_BUDGET})
+  --no-precheck    do not report the syntactic satisfiability shortcuts
+  --json           emit one JSON object
+  --max-symbols N  refuse enumeration beyond N symbols (default {DEFAULT_SYMBOL_CAP})
+  -h, --help       show this help and exit
+
+Options may be abbreviated to any unique prefix and given as --option=N."""
+
+# Tokens read as arguments although they start with "-", as "-5" and "-.5".
+_NEGATIVE_NUMBER = re.compile(r"-\d*\.?\d+$").match
 
 
-def _add_input_options(parser: argparse.ArgumentParser) -> None:
-    parser.add_argument("path", help="input file, or - for standard input")
-    parser.add_argument(
-        "--dimacs", action="store_true", help="read DIMACS CNF instead of formula text"
-    )
-    parser.add_argument(
-        "--max-clauses",
-        type=_non_negative,
-        default=DEFAULT_CLAUSE_BUDGET,
-        metavar="N",
-        help="abort CNF conversion beyond N clauses (default %(default)s)",
-    )
+def _usage_error(message: str) -> NoReturn:
+    print(f"{_USAGE}\nhornsat: error: {message}", file=sys.stderr)
+    raise SystemExit(2)
 
 
-@cache
-def _build_parser() -> argparse.ArgumentParser:
-    """The one parser of this process, built on the first call; every
-    ``parse_args`` fills a fresh namespace, so calls share no state."""
-    parser = argparse.ArgumentParser(
-        prog="hornsat",
-        description="Decide Horn-clause satisfiability with step traces and least models.",
-    )
-    sub = parser.add_subparsers(dest="command", required=True)
+def _option(token: str, options: dict[str, bool | int]) -> tuple[str | None, str | None]:
+    """The option that ``token`` names, by its name or a unique prefix of a
+    ``--`` name, and the text after its ``=`` (None without one).  The name
+    is None for an argument and ``""`` for an unknown option."""
+    if token[:1] != "-" or token in ("-", "--") or _NEGATIVE_NUMBER(token):
+        return None, None
+    name, equals, value = token.partition("=")
+    if name == "-h":
+        name = "--help"
+    elif name not in options:
+        names = [known for known in (*options, "--help") if name[:2] == "--" and known.startswith(name)]
+        if len(names) > 1:
+            _usage_error(f"ambiguous option {name}: could match {', '.join(names)}")
+        name = names[0] if names else ""
+    if name:
+        return name, value if equals else None
+    return (None if " " in token else ""), None
 
-    solve_p = sub.add_parser("solve", help="decide satisfiability (exit 10 SAT, 20 UNSAT)")
-    _add_input_options(solve_p)
-    solve_p.add_argument(
-        "--no-precheck",
-        action="store_true",
-        help="do not report the syntactic satisfiability shortcuts",
-    )
-    solve_p.set_defaults(handler=_cmd_solve)
 
-    trace_p = sub.add_parser("trace", help="solve and emit the full run as text or JSON")
-    _add_input_options(trace_p)
-    trace_p.add_argument("--json", action="store_true", help="emit one JSON object")
-    trace_p.set_defaults(handler=_cmd_trace)
+def _parse_args(argv: Sequence[str]) -> tuple[Callable[[SimpleNamespace], int], SimpleNamespace]:
+    """The handler of the command that ``argv`` names, and its arguments.
 
-    convert_p = sub.add_parser("convert", help="print the clause list and the implication form")
-    _add_input_options(convert_p)
-    convert_p.set_defaults(handler=_cmd_convert)
-
-    classify_p = sub.add_parser("classify", help="truth-table verdict: Valid/Satisfiable/Contradictory")
-    classify_p.add_argument("path", help="input file, or - for standard input")
-    classify_p.add_argument(
-        "--max-symbols",
-        type=_non_negative,
-        default=DEFAULT_SYMBOL_CAP,
-        metavar="N",
-        help="refuse enumeration beyond N symbols (default %(default)s)",
-    )
-    classify_p.set_defaults(handler=_cmd_classify)
-
-    return parser
+    ``argv`` is read from left to right.  The command comes first, after
+    nothing but options; its own options may come before or after the
+    path.  ``--`` ends the options, but once the path is read only right
+    after it.  A repeated option keeps its last value.  Help exits 0 where
+    it is read, and a bad option value exits 2 there; a missing command or
+    path, an unknown option and a second path exit 2 once all of ``argv``
+    is read, so a later ``-h`` still prints help.
+    """
+    handler, options, args = None, {}, SimpleNamespace(path=None)
+    unknown, path_end, ended = [], None, False
+    i = 0
+    while i < len(argv):
+        token = argv[i]
+        i += 1
+        if token == "--" and handler is not None and not ended:
+            if path_end not in (None, i - 1):
+                unknown.append(token)
+            ended = True
+            continue
+        name, value = (None, None) if ended else _option(token, options)
+        if name == "--help":
+            if value is not None:
+                _usage_error(f"{name} takes no value")
+            print(_HELP)
+            raise SystemExit(0)
+        if name:
+            if options[name] is False:
+                if value is not None:
+                    _usage_error(f"{name} takes no value")
+                value = True
+            else:
+                if value is None:
+                    if i == len(argv) or argv[i] == "--" or _option(argv[i], options)[0] is not None:
+                        _usage_error(f"{name} needs a value N")
+                    value = argv[i]
+                    i += 1
+                try:
+                    number = int(value)
+                except ValueError:
+                    _usage_error(f"{name}: invalid int value: {value!r}")
+                if number < 0:
+                    _usage_error(f"{name} must be non-negative, got {number}")
+                value = number
+            setattr(args, name[2:].replace("-", "_"), value)
+        elif name == "":
+            unknown.append(token)
+        elif handler is None:
+            if token not in _COMMANDS:
+                _usage_error(f"invalid command {token!r}")
+            handler, options = _COMMANDS[token]
+            for option, default in options.items():
+                setattr(args, option[2:].replace("-", "_"), default)
+        elif args.path is None:
+            args.path, path_end = token, i
+        else:
+            unknown.append(token)
+    if handler is None:
+        _usage_error("a command is required")
+    if args.path is None:
+        _usage_error("a path is required")
+    if unknown:
+        _usage_error(f"unrecognized arguments: {' '.join(unknown)}")
+    return handler, args
 
 
 def cli_main(argv: Sequence[str] | None = None) -> int:
-    args = _build_parser().parse_args(argv)
+    handler, args = _parse_args(sys.argv[1:] if argv is None else argv)
     # A command builds up to millions of objects, none of them in a
     # reference cycle, so reference counting frees them all and the cyclic
     # collector's full scans of the growing heap are pure cost.  It is
@@ -363,7 +435,7 @@ def cli_main(argv: Sequence[str] | None = None) -> int:
     collecting = gc.isenabled()
     gc.disable()
     try:
-        return args.handler(args)
+        return handler(args)
     except (ValueError, OSError, MemoryError) as exc:
         # Every input error of the package, and UnicodeDecodeError, is a
         # ValueError.  A MemoryError usually carries no message.

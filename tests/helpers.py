@@ -2,11 +2,13 @@
 
 from __future__ import annotations
 
+import argparse
 import itertools
 import json
 import random
 import re
 from dataclasses import dataclass
+from functools import cache
 from typing import Iterable, Iterator, NamedTuple, Sequence
 
 import hypothesis.strategies as st
@@ -45,7 +47,14 @@ from hornsat import (
     is_basic_horn,
     symbols,
 )
-from hornsat.cli import _model_line
+from hornsat.cli import (
+    DEFAULT_CLAUSE_BUDGET,
+    _cmd_classify,
+    _cmd_convert,
+    _cmd_solve,
+    _cmd_trace,
+    _model_line,
+)
 from hornsat.oracle import _Table
 
 # The three benchmark inputs exercised end to end.
@@ -978,3 +987,76 @@ def golden_cli_inputs() -> list[tuple[str, str, bool]]:
     ]
     return inputs
 
+
+# The command line as argparse read it, before the CLI read argv itself;
+# the reader it is checked against in ``tests/test_cli.py``.
+def _non_negative(text: str) -> int:
+    try:
+        value = int(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"invalid int value: {text!r}") from None
+    if value < 0:
+        raise argparse.ArgumentTypeError(f"must be non-negative, got {value}")
+    return value
+
+
+def _add_input_options(parser: argparse.ArgumentParser) -> None:
+    parser.add_argument("path", help="input file, or - for standard input")
+    parser.add_argument(
+        "--dimacs", action="store_true", help="read DIMACS CNF instead of formula text"
+    )
+    parser.add_argument(
+        "--max-clauses",
+        type=_non_negative,
+        default=DEFAULT_CLAUSE_BUDGET,
+        metavar="N",
+        help="abort CNF conversion beyond N clauses (default %(default)s)",
+    )
+
+
+@cache
+def _build_parser() -> argparse.ArgumentParser:
+    """The one parser of this process, built on the first call; every
+    ``parse_args`` fills a fresh namespace, so calls share no state."""
+    parser = argparse.ArgumentParser(
+        prog="hornsat",
+        description="Decide Horn-clause satisfiability with step traces and least models.",
+    )
+    sub = parser.add_subparsers(dest="command", required=True)
+
+    solve_p = sub.add_parser("solve", help="decide satisfiability (exit 10 SAT, 20 UNSAT)")
+    _add_input_options(solve_p)
+    solve_p.add_argument(
+        "--no-precheck",
+        action="store_true",
+        help="do not report the syntactic satisfiability shortcuts",
+    )
+    solve_p.set_defaults(handler=_cmd_solve)
+
+    trace_p = sub.add_parser("trace", help="solve and emit the full run as text or JSON")
+    _add_input_options(trace_p)
+    trace_p.add_argument("--json", action="store_true", help="emit one JSON object")
+    trace_p.set_defaults(handler=_cmd_trace)
+
+    convert_p = sub.add_parser("convert", help="print the clause list and the implication form")
+    _add_input_options(convert_p)
+    convert_p.set_defaults(handler=_cmd_convert)
+
+    classify_p = sub.add_parser("classify", help="truth-table verdict: Valid/Satisfiable/Contradictory")
+    classify_p.add_argument("path", help="input file, or - for standard input")
+    classify_p.add_argument(
+        "--max-symbols",
+        type=_non_negative,
+        default=DEFAULT_SYMBOL_CAP,
+        metavar="N",
+        help="refuse enumeration beyond N symbols (default %(default)s)",
+    )
+    classify_p.set_defaults(handler=_cmd_classify)
+
+    return parser
+
+
+def reference_parse_args(argv: Sequence[str]) -> argparse.Namespace:
+    """``argv`` parsed as the CLI parsed it with argparse: the namespace
+    holds ``command`` and ``handler`` beside each argument."""
+    return _build_parser().parse_args(argv)

@@ -4,12 +4,13 @@ and a few runs must print the full text committed in
 ``golden_cli_texts/``, so that a change to them shows as a diff.
 
 Each line of that file is ``input<TAB>command<TAB>sha256``.  Most runs
-read their input from standard input; the path runs read a missing file
-and a file that is not UTF-8, so the handler's ``OSError`` and
-``UnicodeDecodeError`` branches are covered too.  Rewriting it
+read their input from standard input; the path runs read a missing file,
+a file that is not UTF-8 and a directory, so the handler's ``OSError``
+and ``UnicodeDecodeError`` branches are covered too, and files with CRLF
+and lone-CR line ends and a UTF-8 byte order mark.  Rewriting it
 changes test data: list each changed run and its reason in CHANGES.md.
-Usage errors are checked by exit code only, since argparse's usage text
-changes between Python versions.  The runs of ``deep-biconditionals``,
+Usage errors are checked by exit code only, since the usage and help
+texts are not part of the contract.  The runs of ``deep-biconditionals``,
 whose CNF exceeds the default clause budget, go through a child
 interpreter capped at 1 GiB of address space: should the budget stop
 holding, they end in a ``MemoryError`` digest mismatch instead of
@@ -42,8 +43,18 @@ COMMANDS = (("solve",), ("solve", "--no-precheck"), ("trace",), ("trace", "--jso
 # Run on formula texts only; the two limits make some runs fail with exit 1.
 FORMULA_COMMANDS = (("classify",), ("solve", "--max-clauses", "8"), ("classify", "--max-symbols", "3"))
 # Read from a path, inside a fresh directory so each message names only
-# the relative path; ``None`` is a file that does not exist.
-PATH_INPUTS = (("missing-input.txt", None), ("non-utf8.txt", b"p \xff q"))
+# the relative path; ``None`` is a file that does not exist and
+# ``DIRECTORY`` a directory.  A path is read with universal newlines, so
+# ``trace`` prints the CRLF and lone-CR inputs with ``\n`` line ends.
+DIRECTORY = "directory"
+PATH_INPUTS = (
+    ("missing-input.txt", None),
+    ("non-utf8.txt", b"p \xff q"),
+    ("crlf.txt", b"p & (~r | s)\r\n& (r | ~p | ~q)\r\n& (~r | ~s)\r\n"),
+    ("lone-cr.txt", b"p &\r(p -> q)\r& ~r\r"),
+    ("utf8-bom.txt", b"\xef\xbb\xbfp & (p -> q)\n"),
+    ("a-directory", DIRECTORY),
+)
 PATH_COMMANDS = COMMANDS + (("classify",),)
 # The input whose runs go through :func:`run_digests_capped`.
 CAPPED_INPUT = "deep-biconditionals"
@@ -142,7 +153,7 @@ def run_text(argv, stdin_text):
 
 
 def usage_exit_code(argv):
-    """The code that ``cli_main(argv)`` exits with through argparse, its
+    """The code that ``cli_main(argv)`` exits with on a usage error, its
     usage text discarded; None if it returns instead."""
     with contextlib.redirect_stderr(io.StringIO()):
         try:
@@ -166,7 +177,9 @@ def golden_runs():
             yield name, " ".join(command), *result
     with tempfile.TemporaryDirectory() as scratch, contextlib.chdir(scratch):
         for name, data in PATH_INPUTS:
-            if data is not None:
+            if data is DIRECTORY:
+                Path(name).mkdir()
+            elif data is not None:
                 Path(name).write_bytes(data)
             for command in PATH_COMMANDS:
                 yield name, " ".join(command), *run_digest([*command, name], "")
