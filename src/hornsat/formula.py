@@ -222,19 +222,31 @@ def _join(
     return empty if first is None else reduce(connective, parts, first)
 
 
+# Each binary connective as one bitwise operation over all rows of a truth
+# table; a complement is left unmasked, for the caller to mask once.
+_ROWS: dict[type, Callable[[int, int], int]] = {
+    Or: int.__or__,
+    And: int.__and__,
+    Implies: lambda left, right: ~left | right,
+    Iff: lambda left, right: ~(left ^ right),
+}
+
+
 def symbols(phi: Formula) -> set[str]:
     """The set of propositional symbol names occurring in ``phi``."""
     found: set[str] = set()
     stack: list[Formula] = [phi]
     while stack:
         node = stack.pop()
-        if isinstance(node, Atom):
+        kind = type(node)
+        if kind is Atom:
             found.add(node.name)
-        elif isinstance(node, Not):
+        elif kind in _ROWS:
+            stack += node.left, node.right
+        elif kind is Not:
             stack.append(node.operand)
-        elif isinstance(node, (Or, And, Implies, Iff)):
-            stack.append(node.left)
-            stack.append(node.right)
+        elif kind is not Falsum and kind is not Verum:
+            raise TypeError(f"not a formula: {node!r}")
     return found
 
 
@@ -244,19 +256,20 @@ def evaluate(phi: Formula, valuation: Valuation) -> int:
     Disjunction is addition saturating at 1, conjunction is
     multiplication, and implication is ``(1 - a) + b`` under the same
     saturation; on 0/1 these are the bitwise operations of
-    :func:`_evaluate_rows` with a one-row mask.  Symbols missing from
+    :func:`_evaluate_rows` on a one-row table.  Symbols missing from
     ``valuation`` read as 0.
     """
-    return _evaluate_rows(phi, lambda name: 1 if valuation.get(name, 0) else 0, 1)
+    return _evaluate_rows(phi, lambda name: 1 if valuation.get(name, 0) else 0) & 1
 
 
-def _evaluate_rows(phi: Formula, column: Callable[[str], int], mask: int) -> int:
+def _evaluate_rows(phi: Formula, column: Callable[[str], int]) -> int:
     """Evaluate ``phi`` on every row of a truth table at once.
 
-    Bit ``r`` of an int is a value in row ``r``; ``mask`` has one bit set
-    per row and ``column(name)`` gives an atom's values.  Each connective
-    is one bitwise operation over all rows, so bit ``r`` of the result is
-    ``phi``'s value in row ``r``.
+    Bit ``r`` of an int is a value in row ``r``, and ``column(name)`` gives
+    an atom's values.  Each connective is one bitwise operation over all
+    rows: falsum is 0, verum all ones (-1), and negation ``~``.  So bit
+    ``r`` of the result is ``phi``'s value in row ``r``, and the bits above
+    the table are junk, which the caller masks off.
     """
     # Iterative post-order walk: clause-list readbacks can be thousands of
     # connectives deep, well past the interpreter recursion limit.
@@ -264,34 +277,22 @@ def _evaluate_rows(phi: Formula, column: Callable[[str], int], mask: int) -> int
     values: list[int] = []
     while todo:
         node, ready = todo.pop()
-        if isinstance(node, Atom):
-            values.append(column(node.name))
-        elif isinstance(node, Falsum):
-            values.append(0)
-        elif isinstance(node, Verum):
-            values.append(mask)
-        elif not ready:
-            todo.append((node, True))
-            if isinstance(node, Not):
-                todo.append((node.operand, False))
-            elif isinstance(node, (Or, And, Implies, Iff)):
-                todo.append((node.right, False))
-                todo.append((node.left, False))
-            else:
-                raise TypeError(f"not a formula: {node!r}")
-        elif isinstance(node, Not):
-            values.append(mask ^ values.pop())
-        else:
+        kind = type(node)
+        if ready:
             right = values.pop()
-            left = values.pop()
-            if isinstance(node, Or):
-                values.append(left | right)
-            elif isinstance(node, And):
-                values.append(left & right)
-            elif isinstance(node, Implies):
-                values.append((mask ^ left) | right)
-            else:
-                values.append(mask ^ left ^ right)
+            values.append(~right if kind is Not else _ROWS[kind](values.pop(), right))
+        elif kind is Atom:
+            values.append(column(node.name))
+        elif kind in _ROWS:
+            todo += (node, True), (node.right, False), (node.left, False)
+        elif kind is Not:
+            todo += (node, True), (node.operand, False)
+        elif kind is Falsum:
+            values.append(0)
+        elif kind is Verum:
+            values.append(-1)
+        else:
+            raise TypeError(f"not a formula: {node!r}")
     return values[0]
 
 

@@ -22,7 +22,7 @@ literal unless a clause holds verum.
 
 from __future__ import annotations
 
-from itertools import compress, islice
+from itertools import chain, compress, islice
 from struct import Struct
 from typing import Iterable, Iterator, Union
 
@@ -211,10 +211,17 @@ def _negated(codes: tuple[int, ...]) -> Iterator[int]:
     return compress(codes, map((1).__and__, codes))
 
 
-# Byte tables for ``bytes.translate``: a low byte's parity, 1 for a
-# negated literal; and 1 for a literal of a kept clause, one not marked 2.
+# A byte table for ``bytes.translate``: a low byte's parity, 1 for a
+# negated literal.
 _PARITY = bytes(range(2)) * 128
-_KEPT = bytes((1, 1)) + bytes(254)
+
+
+def _low_bytes(codes: tuple[int, ...]) -> bytes:
+    """The low byte of each code, in order."""
+    # A bound ``pack`` takes the codes tuple as it is; ``struct.pack(format,
+    # *codes)`` copies it into a new argument tuple first, and its cache of
+    # compiled formats would keep one for each length it meets.
+    return Struct(f"<{len(codes)}I").pack(*codes)[::4]
 
 
 def horn_from_clauses(cnf: CnfFormula) -> HornFormula:
@@ -236,32 +243,24 @@ def horn_from_clauses(cnf: CnfFormula) -> HornFormula:
     one.  Python code runs once per positive literal, found with ``find``:
     a walk over the clause lengths reaches its clause, whose first positive
     code is its head, and each positive occurrence shortens the antecedent
-    by one.  A dropped clause's literals are marked 2, so that ``find``
-    skips them; its codes, length, head and antecedent length are then
-    compressed out, which is the only copy of the codes.
+    by one.  Dropping the verum clauses is the only copy of the codes.
     """
     names, codes, spans = cnf._coded
-    # A bound ``pack`` takes the codes tuple as it is; ``struct.pack(format,
-    # *codes)`` copies it into a new argument tuple first, and its cache of
-    # compiled formats would keep one for each length it meets.
-    low = Struct(f"<{len(codes)}I").pack(*codes)[::4]
-    mask = low.translate(_PARITY)
-    heads = [_BOT_ATOM] * len(spans)
-    sizes = list(spans)
-    kept = None  # one byte per clause, 0 for a dropped one, if any is
+    low = _low_bytes(codes)
+    positions = range(len(spans))  # each clause's index in ``cnf``
     # A low byte is 1 only for the codes 256k + 1, so the first test, one
     # ``memchr``, clears most inputs without verum before a scan of the codes.
-    if _TOP_CODE in low and _TOP_CODE in codes:  # mark each clause that holds it dropped
-        mask, kept = bytearray(mask), bytearray(b"\1") * len(spans)
-        index, end, at = -1, 0, -1
-        for _ in range(codes.count(_TOP_CODE)):
-            at = codes.index(_TOP_CODE, at + 1)
-            while end <= at:
-                index, start, end = index + 1, end, end + spans[index + 1]
-            mask[start:end] = b"\2" * (end - start)
-            kept[index] = 0
+    if _TOP_CODE in low and _TOP_CODE in codes:
+        literals = iter(codes)
+        clauses = [tuple(islice(literals, span)) for span in spans]
+        positions = [index for index, clause in enumerate(clauses) if _TOP_CODE not in clause]
+        codes = tuple(chain.from_iterable(clauses[index] for index in positions))
+        spans = tuple(spans[index] for index in positions)
+        low = _low_bytes(codes)
+    heads = [_BOT_ATOM] * len(spans)
+    sizes = list(spans)
     index, end, last = -1, 0, -1  # ``last``: the clause whose head is set
-    find = mask.find
+    find = low.translate(_PARITY).find
     at = find(0)
     while at >= 0:
         while end <= at:
@@ -272,12 +271,9 @@ def horn_from_clauses(cnf: CnfFormula) -> HornFormula:
             last, head = index, code
             heads[index] = code >> 1
         elif code != head:
-            raise NotHornError(index, cnf._clause(index))
+            raise NotHornError(positions[index], cnf._clause(positions[index]))
         sizes[index] -= 1
         at = find(0, at + 1)
-    if kept is not None:
-        codes = tuple(compress(codes, mask.translate(_KEPT)))
-        spans, heads, sizes = (tuple(compress(column, kept)) for column in (spans, heads, sizes))
     return HornFormula(coded=(names, tuple(heads), codes, spans, tuple(sizes)))
 
 

@@ -84,7 +84,7 @@ class _Table:
 
     def of(self, phi: Formula) -> int:
         """``phi``'s truth table: bit ``r`` is its value in row ``r``."""
-        return _evaluate_rows(phi, self.column.__getitem__, self.mask)
+        return _evaluate_rows(phi, self.column.__getitem__) & self.mask
 
     def valuation(self, row: int) -> dict[str, int]:
         last = len(self.names) - 1

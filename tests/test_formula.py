@@ -7,12 +7,16 @@ from hornsat import (
     And,
     Atom,
     Falsum,
+    Iff,
     Implies,
     Not,
     Or,
     Verum,
+    classify,
     enumerate_valuations,
+    equivalent,
     evaluate,
+    models,
     parse_formula,
     satisfies,
     symbols,
@@ -32,6 +36,25 @@ def test_symbols_of_benchmark_formula():
 
 def test_symbols_of_implication():
     assert symbols(Implies(Atom("p"), Atom("q"))) == {"p", "q"}
+
+
+class _NamedAtom(Atom):
+    pass
+
+
+# Every walker dispatches on the exact type, as ``to_cnf`` does: a subclass
+# of a record, or any other object, is not a formula.
+def test_non_formulas_raise():
+    for phi in (And(Atom("p"), object()), _NamedAtom("p")):
+        for call in (
+            lambda: symbols(phi),
+            lambda: evaluate(phi, {"p": 1}),
+            lambda: classify(phi),
+            lambda: equivalent(phi, Atom("p")),
+            lambda: models(phi),
+        ):
+            with pytest.raises(TypeError, match="not a formula"):
+                call()
 
 
 def test_atom_name_validation():
@@ -63,6 +86,9 @@ def test_desugar_conjunction_preserves_evaluation():
 def test_evaluate_falsum_is_zero():
     assert evaluate(Falsum(), {}) == 0
     assert evaluate(Falsum(), {"p": 1}) == 0
+    assert evaluate(Implies(Verum(), Falsum()), {}) == 0
+    assert evaluate(Not(Verum()), {}) == 0
+    assert evaluate(Iff(Falsum(), Falsum()), {}) == 1
 
 
 def test_evaluate_negation_via_implication():
@@ -98,6 +124,8 @@ def test_connective_truth_tables(text, expected):
 def test_satisfies():
     assert satisfies({}, Verum())
     assert not satisfies({}, Falsum())
+    assert satisfies({}, Not(Falsum()))
+    assert not satisfies({}, Not(Verum()))
     assert satisfies({"p": 1}, parse_formula(SAT_CHAIN_TEXT))
 
 

@@ -280,6 +280,12 @@ def _wide(*clauses):
 @example(_cnf(clause("~p", "q"), clause("~q", "top"), clause("p", "~r", "q")))
 @example(_cnf(clause("~p", "q"), clause("~q", "top", "r"), clause("~r", "p"), clause("q", "~p")))
 @example(to_cnf(parse_formula("(p -> q) & (q | ~r | q) & r")))
+# Every clause dropped, which leaves the empty formula; two dropped clauses
+# before a non-Horn one, whose index skips neither; and a non-Horn clause
+# before a dropped clause with two positive literals of its own.
+@example(_cnf(clause("top"), clause("~p", "top", "q"), clause("p", "q", "top")))
+@example(_cnf(clause("top", "p"), clause("q", "top"), clause("~r", "p", "q")))
+@example(_cnf(clause("~r", "p", "q"), clause("p", "top", "q")))
 def test_horn_from_clauses_matches_reference(cnf):
     _assert_matches_reference(cnf)
 

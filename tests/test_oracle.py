@@ -12,6 +12,7 @@ from hornsat import (
     Atom,
     Classification,
     Falsum,
+    Iff,
     Implies,
     Not,
     Or,
@@ -69,6 +70,8 @@ def test_symbol_cap():
 
 def test_classify():
     assert classify(Verum()) is Classification.VALID
+    assert classify(Not(Verum())) is Classification.CONTRADICTORY
+    assert classify(Iff(Falsum(), Falsum())) is Classification.VALID
     assert classify(parse_formula(UNSAT_CHAIN_TEXT)) is Classification.CONTRADICTORY
     assert classify(parse_formula(SAT_CHAIN_TEXT)) is Classification.SATISFIABLE
 
@@ -85,10 +88,12 @@ def test_equivalent():
     assert equivalent(Atom("p"), parse_formula("true -> p"))
     assert equivalent(parse_formula("~p | ~q"), parse_formula("(p & q) -> false"))
     assert not equivalent(Atom("p"), Atom("q"))
+    assert equivalent(Not(Not(Atom("p"))), Atom("p"))
 
 
 def test_models():
     assert models(Falsum()) == []
+    assert models(Verum()) == models(Not(Falsum())) == [{}]
     assert models(Atom("p")) == [{"p": 1}]
     assert {"p": 1, "q": 0, "r": 0, "s": 0} in models(parse_formula(SAT_CHAIN_TEXT))
 
