@@ -12,9 +12,9 @@ import gc
 import re
 import sys
 from bisect import bisect_right
+from collections.abc import Callable, Iterator, Sequence
 from itertools import islice
 from types import SimpleNamespace
-from typing import Callable, Iterator, NoReturn, Sequence
 
 from .formula import _record
 from .horn import HornFormula, _by_code, _negated, horn_from_clauses
@@ -336,9 +336,10 @@ Options may be abbreviated to any unique prefix and given as --option=N."""
 _NEGATIVE_NUMBER = re.compile(r"-\.?\d").match
 
 
-def _usage_error(message: str) -> NoReturn:
+def _usage_error(message: str) -> SystemExit:
+    """The exit for a usage error, its message printed under the usage."""
     print(f"{_USAGE}\nhornsat: error: {message}", file=sys.stderr)
-    raise SystemExit(2)
+    return SystemExit(2)
 
 
 def _option(token: str, options: dict[str, bool | int]) -> tuple[str | None, str | None]:
@@ -353,7 +354,7 @@ def _option(token: str, options: dict[str, bool | int]) -> tuple[str | None, str
     elif name not in options:
         names = [known for known in (*options, "--help") if name[:2] == "--" and known.startswith(name)]
         if len(names) > 1:
-            _usage_error(f"ambiguous option {name}: could match {', '.join(names)}")
+            raise _usage_error(f"ambiguous option {name}: could match {', '.join(names)}")
         name = names[0] if names else ""
     if name:
         return name, value if equals else None
@@ -385,33 +386,33 @@ def _parse_args(argv: Sequence[str]) -> tuple[Callable[[SimpleNamespace], int], 
         name, value = (None, None) if ended else _option(token, options)
         if name == "--help":
             if value is not None:
-                _usage_error(f"{name} takes no value")
+                raise _usage_error(f"{name} takes no value")
             print(_HELP)
             raise SystemExit(0)
         if name:
             if options[name] is False:
                 if value is not None:
-                    _usage_error(f"{name} takes no value")
+                    raise _usage_error(f"{name} takes no value")
                 value = True
             else:
                 if value is None:
                     if i == len(argv) or argv[i] == "--" or _option(argv[i], options)[0] is not None:
-                        _usage_error(f"{name} needs a value N")
+                        raise _usage_error(f"{name} needs a value N")
                     value = argv[i]
                     i += 1
                 try:
                     number = int(value)
                 except ValueError:
-                    _usage_error(f"{name}: invalid int value: {value!r}")
+                    raise _usage_error(f"{name}: invalid int value: {value!r}")
                 if number < 0:
-                    _usage_error(f"{name} must be non-negative, got {number}")
+                    raise _usage_error(f"{name} must be non-negative, got {number}")
                 value = number
             setattr(args, name[2:].replace("-", "_"), value)
         elif name == "":
             unknown.append(token)
         elif handler is None:
             if token not in _COMMANDS:
-                _usage_error(f"invalid command {token!r}")
+                raise _usage_error(f"invalid command {token!r}")
             handler, options = _COMMANDS[token]
             for option, default in options.items():
                 setattr(args, option[2:].replace("-", "_"), default)
@@ -420,11 +421,11 @@ def _parse_args(argv: Sequence[str]) -> tuple[Callable[[SimpleNamespace], int], 
         else:
             unknown.append(token)
     if handler is None:
-        _usage_error("a command is required")
+        raise _usage_error("a command is required")
     if args.path is None:
-        _usage_error("a path is required")
+        raise _usage_error("a path is required")
     if unknown:
-        _usage_error(f"unrecognized arguments: {' '.join(unknown)}")
+        raise _usage_error(f"unrecognized arguments: {' '.join(unknown)}")
     return handler, args
 
 

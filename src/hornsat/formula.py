@@ -12,8 +12,8 @@ from the mapping read as 0, so every partial map is total by convention.
 from __future__ import annotations
 
 import re
+from collections.abc import Callable, Iterable, Mapping
 from functools import reduce
-from typing import Callable, Iterable, Mapping, Union
 
 __all__ = [
     "And",
@@ -207,7 +207,7 @@ class Iff(_Binary):
     pass
 
 
-Formula = Union[Falsum, Verum, Atom, Not, Or, And, Implies, Iff]
+Formula = Falsum | Verum | Atom | Not | Or | And | Implies | Iff
 
 Valuation = Mapping[str, int]
 

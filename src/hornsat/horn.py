@@ -22,9 +22,9 @@ literal unless a clause holds verum.
 
 from __future__ import annotations
 
+from collections.abc import Iterable, Iterator
 from itertools import chain, compress, islice
 from struct import Struct
-from typing import Iterable, Iterator, Union
 
 from .formula import And, Formula, Implies, Verum, _join, _record
 from .normalform import (
@@ -88,7 +88,7 @@ class Conj:
 
 _set_conj_atoms = Conj.atoms.__set__
 
-Antecedent = Union[Top, Conj]
+Antecedent = Top | Conj
 
 
 @_record

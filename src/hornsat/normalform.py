@@ -297,8 +297,7 @@ def _clause_lists(phi: Formula, budget: int | None) -> tuple[list[list[int]], li
     leaf a distinct atom, so no constant and no atom read twice.
 
     Every clause list on the value stack, and every clause in it, has
-    exactly one owner, so concatenation and a product with a single
-    right-hand clause extend in place.
+    exactly one owner, so concatenation extends in place.
 
     A run of more than one literal checks its clause count against the
     budget before the next operand is read, as the markers joining its
@@ -323,13 +322,7 @@ def _clause_lists(phi: Formula, budget: int | None) -> tuple[list[list[int]], li
             left = values.pop()
             if budget is not None and len(left) * len(right) > budget:
                 raise ClauseBudgetError(f"conversion exceeds the budget of {budget} clauses")
-            if len(right) == 1:
-                # Keeps a disjunction of literals linear.
-                for left_clause in left:
-                    left_clause.extend(right[0])
-                values.append(left)
-            else:
-                values.append([lc + rc for lc in left for rc in right])
+            values.append([lc + rc for lc in left for rc in right])
         elif kind is list:
             # A run: each literal's atom gets the next code on first sight.
             count = sum(map(len, node))

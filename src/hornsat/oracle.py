@@ -15,8 +15,8 @@ failures are reproducible.
 from __future__ import annotations
 
 import itertools
+from collections.abc import Iterable
 from enum import Enum
-from typing import Iterable
 
 from .formula import Formula, _evaluate_rows, symbols
 

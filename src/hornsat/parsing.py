@@ -21,11 +21,11 @@ lines again.
 from __future__ import annotations
 
 import re
+from collections.abc import Sequence
 from itertools import count
 from operator import neg
-from typing import Sequence
 
-from .formula import _IDENTIFIER, And, Atom, Falsum, Formula, Iff, Implies, Not, Or, Verum
+from .formula import _IDENTIFIER, _NAME_RE, And, Atom, Falsum, Formula, Iff, Implies, Not, Or, Verum
 from .normalform import _BOT_CODE, BOT, CnfFormula
 
 __all__ = [
@@ -77,10 +77,10 @@ _BUILD = (None, Iff, Implies, Or, And)
 # least this tightly: an equal one too when it is left-associative.
 _REDUCES_FROM = (None, _LEVEL_IFF + 1, _LEVEL_IMPLIES + 1, _LEVEL_OR, _LEVEL_AND)
 
-_is_identifier = re.compile(_IDENTIFIER).match
 _SPELLINGS = tuple(sorted([*_BINARY, *_PREFIX, ")", "⊥", "⊤"], key=len, reverse=True))
 # One lexeme per match: an identifier, an operator or constant spelling, or
-# any other single character, which is an error.
+# any other single character, which is an error.  The identifier comes first
+# and is greedy, so an identifier lexeme is whole, as ``_NAME_RE`` reads it.
 _LEXEME_RE = re.compile(r"\s*(" + "|".join([_IDENTIFIER, *map(re.escape, _SPELLINGS)]) + r"|\S)")
 
 _OPERAND = ("an atom", "'false'", "'true'", "'~'", "'('")
@@ -89,7 +89,7 @@ _CLOSE = ("')'",)
 
 
 def _is_token(lexeme: str) -> bool:
-    return lexeme in _SPELLINGS or _is_identifier(lexeme) is not None
+    return lexeme in _SPELLINGS or _NAME_RE.match(lexeme) is not None
 
 
 def _error(text: str, offset: int, message: str, expected: Sequence[str] = ()) -> ParseError:
@@ -140,7 +140,7 @@ def parse_formula(text: str) -> Formula:
                 ops.append(marker)
                 if marker == _OPEN:
                     depth += 1
-            elif _is_identifier(lexeme):
+            elif _NAME_RE.match(lexeme):
                 operand = operands[lexeme] = Atom(lexeme)
                 break
             else:

@@ -1,5 +1,6 @@
 """CNF conversion and clause-level checks."""
 
+import gc
 import random
 import time
 import tracemalloc
@@ -322,13 +323,21 @@ def test_right_nested_conjunction():
 
 def _best_seconds(*formulas, runs=5):
     """The best time of each formula over ``runs`` rounds; the formulas
-    take turns, so a slow spell of the machine costs them alike."""
+    take turns, so a slow spell of the machine costs them alike.  The
+    cyclic collector is paused, as ``cli_main`` pauses it: a full scan of
+    the test process's heap can take longer than a conversion."""
     best = [float("inf")] * len(formulas)
-    for _ in range(runs):
-        for index, phi in enumerate(formulas):
-            started = time.perf_counter()
-            to_cnf(phi)
-            best[index] = min(best[index], time.perf_counter() - started)
+    collecting = gc.isenabled()
+    gc.disable()
+    try:
+        for _ in range(runs):
+            for index, phi in enumerate(formulas):
+                started = time.perf_counter()
+                to_cnf(phi)
+                best[index] = min(best[index], time.perf_counter() - started)
+    finally:
+        if collecting:
+            gc.enable()
     return best
 
 
