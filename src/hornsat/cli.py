@@ -13,7 +13,6 @@ import re
 import sys
 from bisect import bisect_right
 from collections.abc import Callable, Iterator, Sequence
-from itertools import islice
 from types import SimpleNamespace
 
 from .formula import _record
@@ -35,18 +34,22 @@ DEFAULT_CLAUSE_BUDGET = 100_000
 def _clause_lines(cnf: CnfFormula) -> Iterator[str]:
     """Each clause as ``convert`` prints it, from the codes."""
     names, codes, sizes = cnf._coded
-    literal, codes = _by_code(names, "~").__getitem__, iter(codes)
+    literals = list(map(_by_code(names, "~").__getitem__, codes))
+    end = 0
     for size in sizes:
-        yield " | ".join(map(literal, islice(codes, size)))
+        start, end = end, end + size
+        yield " | ".join(literals[start:end])
 
 
 def _implication_lines(horn: HornFormula) -> Iterator[str]:
     """Each implication as ``antecedent -> consequent``, with ``top`` for
     the empty antecedent, from the codes."""
     names, heads, codes, _, sizes = horn._coded
-    atom, body = _by_code(names).__getitem__, _negated(codes)
+    body = list(map(_by_code(names).__getitem__, _negated(codes)))
+    end = 0
     for head, size in zip(heads, sizes):
-        yield f"{' & '.join(map(atom, islice(body, size))) or TOP} -> {names[head]}"
+        start, end = end, end + size
+        yield f"{' & '.join(body[start:end]) or TOP} -> {names[head]}"
 
 
 def _rendered_sets(

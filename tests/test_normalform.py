@@ -182,6 +182,19 @@ _FACTS_AND_RULES = "p & (p & q -> r) & (true -> s) & (r -> false) & (q & q -> s)
 @example(parse_formula("a & (b -> c) & (c <-> d) & (d -> e) & f"), None)
 @example(parse_formula("a & (b -> c) & (c <-> d) & (d -> e) & f"), 6)
 @example(parse_formula("a & (b -> c) & (c <-> d) & (d -> e) & f"), 5)
+# Deferred products: factors of 3, 1 and 2 clauses; a product that a
+# conjunction reads; one nested through a negated biconditional, whose
+# sides are a product of their own; and budgets at the product's 6 clauses
+# and one below.
+@example(parse_formula("(a & b & c) | d | (e & f)"), None)
+@example(parse_formula("(a & b & c) | d | (e & f)"), 6)
+@example(parse_formula("(a & b & c) | d | (e & f)"), 5)
+@example(parse_formula("(a & b | c & d) & e"), None)
+@example(parse_formula("(a & b | c & d) & e"), 4)
+@example(parse_formula("(a & b | c & d) & e"), 5)
+@example(parse_formula("~(p <-> q) | (r & s)"), None)
+@example(parse_formula("~(p <-> q) | (r & s)"), 8)
+@example(parse_formula("~(p <-> q) | (r & s)"), 7)
 def test_to_cnf_matches_reference_passes(phi, budget):
     converted = _conversion(to_cnf, phi, budget)
     assert converted == _conversion(reference_to_cnf, phi, budget)
@@ -242,9 +255,25 @@ def test_the_one_copy_drops_each_clause_list_as_it_copies(cleaned):
         tracemalloc.stop()
     assert _clause_lists(phi, None)[2] is not cleaned
     assert cnf._coded[2] == (15,) * 2**15 + ((1,) if cleaned else ())
-    # 8.52 MiB on CPython 3.11 either way; 10.24 MiB when the clause lists
+    # 8.16 MiB on CPython 3.11 either way; 10.24 MiB when the clause lists
     # are kept alive until the copy ends.
     assert peak < 9.25 * 2**20
+
+
+def test_budget_refuses_a_blowup_before_building_any_product():
+    # 2^20 clauses against the default budget: the product's clause count
+    # passes it at the 17th operand, and no product below it is built.
+    phi = Not(reduce(And, [Or(Atom(f"a{i}"), Atom(f"b{i}")) for i in range(20)]))
+    tracemalloc.start()
+    try:
+        with pytest.raises(ClauseBudgetError, match="budget of 100000 clauses"):
+            to_cnf(phi, max_clauses=100_000)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    # 3 KiB on CPython 3.11; 17.8 MiB when each product below the budget
+    # was built as its operand was read.
+    assert peak < 2**20
 
 
 def test_horn_from_clauses_peak_memory_on_the_largest_blowup():
