@@ -18,11 +18,11 @@ literals and rules in a conjunctive one, is read in one step, and the
 clause budget is checked as each run or other operand is added.  A
 product is deferred: its operands' clause counts are multiplied and
 checked against the budget, and its factors are kept until a
-conjunction or the end of the pass needs its clauses, when it is built
-once, pairwise and balanced.  So a formula over the budget is refused
-before any product is built.  A biconditional is read as the
-conjunction of both implications, or when negative as ``(a & ~b) |
-(~a & b)``.  No negation normal form tree is built.
+conjunction needs its clauses, when it is built once, pairwise and
+balanced.  So a formula over the budget is refused before any product is
+built.  A biconditional is read as the conjunction of both implications,
+or when negative as ``(a & ~b) | (~a & b)``.  No negation normal form
+tree is built.
 
 Clauses are int literal codes throughout, as in MiniSat (Een and
 Sorensson, "An Extensible SAT-solver", SAT 2003): atom ``k`` of a
@@ -35,8 +35,13 @@ The pass counts the leaves it reads.  When there are as many as there are
 distinct atoms, the formula is read-once: no constant and no atom twice,
 and a biconditional, which reads its sides twice, never is.  Its clauses
 then hold no verum, no falsum and no repeated literal, so they skip the
-clean-up that any other formula's clauses go through one by one.  Either
-way the clauses are then copied out in one pass, into one list of codes.
+clean-up that any other formula's clauses go through one by one.  When a
+read-once formula is a product of more than one factor, the product's
+last level is then written straight into the codes: each half of its
+factors is multiplied out, and each left clause's codes, then each right
+clause's, are appended to one list, so no final clause is built as a
+list.  Any other clauses, cleaned or not, are copied out in one pass,
+into one list of codes.
 
 The falsum constant is an atomic formula here, so it may appear inside
 literals; the verum literal is the negation of falsum.
@@ -313,18 +318,20 @@ def _product(factors: list[list[list[int]]]) -> list[list[int]]:
     return factors[0]
 
 
-def _clause_lists(phi: Formula, budget: int | None) -> tuple[list[list[int]], list[str], bool]:
+def _clause_lists(phi: Formula, budget: int | None) -> tuple[list[list[list[int]]], list[str], bool]:
     """The clauses of ``phi`` as lists of literal codes, in source order,
     the name table of their atoms, and whether ``phi`` is read-once: every
     leaf a distinct atom, so no constant and no atom read twice.
 
-    Each value on the stack is its clause count and a deferred product: the
-    clause lists whose ordered product it is.  A product marker multiplies
-    the counts and joins the factor lists, and only a concatenation or the
-    end of the pass builds a product, with :func:`_product`.  So the budget
-    is checked per operand on the clause count alone, and a formula over
-    it fails before any product is built.  Every clause list, and every
-    clause in it, has exactly one owner, so concatenation extends in place.
+    The clauses come as the factors of a deferred product: the clause
+    lists whose ordered product they are, left for :func:`to_cnf` to
+    build.  Each value on the stack is its clause count and such a list of
+    factors.  A product marker multiplies the counts and joins the factor
+    lists, and only a concatenation builds a product, with
+    :func:`_product`.  So the budget is checked per operand on the clause
+    count alone, and a formula over it fails before any product is built.
+    Every clause list, and every clause in it, has exactly one owner, so
+    concatenation extends in place.
 
     A run of more than one literal checks its clause count against the
     budget before the next operand is read, as the markers joining its
@@ -390,7 +397,44 @@ def _clause_lists(phi: Formula, budget: int | None) -> tuple[list[list[int]], li
     count, factors = values[0]
     if budget is not None and count > budget:
         raise ClauseBudgetError(f"conversion exceeds the budget of {budget} clauses")
-    return _product(factors), list(code_of), leaves == len(code_of) - 1
+    return factors, list(code_of), leaves == len(code_of) - 1
+
+
+def _flat_product(factors: list[list[list[int]]]) -> tuple[tuple[int, ...], tuple[int, ...]]:
+    """The ordered product of ``factors`` as codes end to end, and each of
+    its clauses' lengths.
+
+    A lone factor's clauses are copied out as they are.  Otherwise each
+    half of the factors is multiplied out by :func:`_product`, and the last
+    level is written straight into the codes: each clause of the left half
+    followed by each clause of the right, so the clauses of the whole are
+    never built as lists.  The product is associative, so the order is the
+    same.
+    """
+    flat: list[int] = []
+    if len(factors) > 1:
+        half = len(factors) // 2
+        left, right = _product(factors[:half]), _product(factors[half:])
+        right_sizes = [*map(len, right)]
+        sizes = tuple([size + other for size in map(len, left) for other in right_sizes])
+        for left_clause in left:
+            for right_clause in right:
+                flat += left_clause
+                flat += right_clause
+        return tuple(flat), sizes
+    clauses = factors[0]
+    sizes = tuple(map(len, clauses))
+    # ``iter(clauses.pop, None)`` pops the clauses in order, down to the
+    # ``None`` at the bottom, so that each is dropped as soon as its codes
+    # are copied and the two never hold a large formula twice over.  The
+    # codes gather in a list and go into a tuple of their exact length at
+    # once: a tuple built from an iterator of unknown length is regrown as
+    # it fills.
+    clauses.append(None)
+    clauses.reverse()
+    for clause in iter(clauses.pop, None):
+        flat += clause
+    return tuple(flat), sizes
 
 
 def to_cnf(phi: Formula, max_clauses: int | None = None) -> CnfFormula:
@@ -404,13 +448,15 @@ def to_cnf(phi: Formula, max_clauses: int | None = None) -> CnfFormula:
 
     A read-once formula, whose leaves are distinct atoms, has nothing to
     drop: each clause takes its literals from distinct leaves, so its
-    clauses skip the clean-up.  Every formula's clauses then leave through
-    the same copy, in one pass.
+    clauses skip the clean-up, and when it is a product of more than one
+    factor, the product's last level is written straight into the codes.
+    Any other formula's product is built, cleaned and then copied out as
+    one factor.
     """
-    raw, names, read_once = _clause_lists(phi, max_clauses)
+    factors, names, read_once = _clause_lists(phi, max_clauses)
     if not read_once:
         kept = []
-        for clause in raw:
+        for clause in _product(factors):
             if _TOP_CODE in clause:
                 continue
             # Rebuilt only when there is something to drop: on the seed-1
@@ -423,19 +469,6 @@ def to_cnf(phi: Formula, max_clauses: int | None = None) -> CnfFormula:
                 if len(clause) > 1:
                     clause.pop(_BOT_CODE, None)
             kept.append(clause)
-        raw = kept or [[_TOP_CODE]]
-    sizes = tuple(map(len, raw))
-    # ``iter(raw.pop, None)`` pops the clauses in order, down to the ``None``
-    # at the bottom, so that each is dropped as soon as its codes are copied
-    # and the two never hold a large formula twice over.  The codes gather
-    # in a list and go into a tuple of their exact length at once: a tuple
-    # built from an iterator of unknown length is regrown as it fills.  On
-    # the 2^15 blowup the copy takes 5.4 ms this way and 8.2 ms through
-    # ``tuple(chain.from_iterable(...))`` (medians of 11, CPython 3.11,
-    # 2-vCPU VM).
-    raw.append(None)
-    raw.reverse()
-    flat: list[int] = []
-    for clause in iter(raw.pop, None):
-        flat += clause
-    return CnfFormula(coded=(tuple(names), tuple(flat), sizes))
+        factors = [kept or [[_TOP_CODE]]]
+    codes, sizes = _flat_product(factors)
+    return CnfFormula(coded=(tuple(names), codes, sizes))

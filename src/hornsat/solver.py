@@ -26,7 +26,9 @@ enters, the counts on its list drop by one, and an implication whose
 count reaches zero puts its input position on a min-heap.  As the set
 only grows, the heap's minimum is always the leftmost fireable
 implication.  Every antecedent atom is counted and decremented at most
-once: O(total clause size + n log n) time.
+once: O(total clause size + n log n) time.  A start set that completes
+no antecedent, one with no atom of the table when every antecedent has
+an atom, is already the fixpoint, and is returned without counting.
 
 A run is stored as the paper's recursion determines it: each call fires
 the leftmost fireable implication and adds its consequent, so the start
@@ -170,7 +172,9 @@ def _fire(phi: HornFormula, current: bytearray, early_stop: bool) -> list[int]:
     """Fire implications of ``phi`` on ``current``, the set as a flag per
     atom, until none is fireable (or, with ``early_stop``, falsum is in
     it); the input positions fired, in order."""
-    _, heads, codes, spans, _ = phi._coded
+    _, heads, codes, spans, sizes = phi._coded
+    if 0 not in sizes and 1 not in current:
+        return []  # every antecedent has an atom, and no atom is in the set
     # Per code, 0 for a negated code whose atom is not in the set; positive
     # codes are 1, so a run's consequent is never counted.  Read only while
     # counting, before anything fires.
@@ -227,7 +231,8 @@ def precheck(phi: HornFormula) -> tuple[str, ...]:
     when no shortcut applies.  Falsum can only enter the set as the
     consequent of some implication, so a formula with no falsum
     consequent is satisfiable; and with no verum antecedent nothing can
-    fire from {verum}, so saturation stops immediately at {verum}.
+    fire from {verum}, so saturation stops immediately at {verum}, and
+    :func:`solve` returns that set without counting any antecedent.
     """
     _, heads, _, _, sizes = phi._coded
     reasons = []

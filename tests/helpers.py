@@ -8,7 +8,7 @@ import json
 import random
 import re
 from dataclasses import dataclass
-from functools import cache
+from functools import cache, reduce
 from typing import Iterable, Iterator, NamedTuple, Sequence
 
 import hypothesis.strategies as st
@@ -152,6 +152,12 @@ def fan_out(size: int) -> HornFormula:
     one atom in every antecedent, so its entry makes all the rules fireable
     at once."""
     return HornFormula((*(rule(("x0",), f"y{k}") for k in range(size)), unit("x0")))
+
+
+def largest_blowup() -> Formula:
+    """``~((a0 | b0) & ... & (a14 | b14))``: 2^15 clauses of 15 negations,
+    the largest blowup the formula_cnf benchmark converts."""
+    return Not(reduce(And, [Or(Atom(f"a{i}"), Atom(f"b{i}")) for i in range(15)]))
 
 
 def lit(text: str) -> Literal:

@@ -40,6 +40,7 @@ from helpers import (
     UNSAT_CHAIN_TEXT,
     clause,
     formula_strategy,
+    largest_blowup,
     random_formula,
     read_once_strategy,
     reference_to_cnf,
@@ -195,6 +196,17 @@ _FACTS_AND_RULES = "p & (p & q -> r) & (true -> s) & (r -> false) & (q & q -> s)
 @example(parse_formula("~(p <-> q) | (r & s)"), None)
 @example(parse_formula("~(p <-> q) | (r & s)"), 8)
 @example(parse_formula("~(p <-> q) | (r & s)"), 7)
+# The last product level, written into the codes: 2, 3 and 5 factors of
+# unequal clause counts and lengths, so each half is uneven; two products
+# that a conjunction reads; and a product that is not read-once, so it is
+# built and cleaned of a valid clause, repeats and falsum first.
+@example(parse_formula("(a & b & c) | ((d | e) & f)"), None)
+@example(parse_formula("(a & b) | ((c | d) & e & f) | (g & (h | i | j))"), None)
+@example(parse_formula("(a & b) | c | (d & (e | f) & g) | (h | i) | (j & (k | l) & m)"), None)
+@example(parse_formula("(a & b) | c | (d & (e | f) & g) | (h | i) | (j & (k | l) & m)"), 18)
+@example(parse_formula("(a & b) | c | (d & (e | f) & g) | (h | i) | (j & (k | l) & m)"), 17)
+@example(parse_formula("(a & b | c & d) & (e | f & (g | h))"), None)
+@example(parse_formula("(a & b) | (~a & c) | (true & false) | (c | b)"), None)
 def test_to_cnf_matches_reference_passes(phi, budget):
     converted = _conversion(to_cnf, phi, budget)
     assert converted == _conversion(reference_to_cnf, phi, budget)
@@ -238,15 +250,10 @@ def test_read_once_copy_matches_reference(phi, budget):
     assert _conversion(to_cnf, phi, budget) == _conversion(reference_to_cnf, phi, budget)
 
 
-def _largest_blowup():
-    """``~((a0 | b0) & ... & (a14 | b14))``: 2^15 clauses of 15 negations."""
-    return Not(reduce(And, [Or(Atom(f"a{i}"), Atom(f"b{i}")) for i in range(15)]))
-
-
 @pytest.mark.parametrize("cleaned", [False, True], ids=["read-once", "cleaned"])
 def test_the_one_copy_drops_each_clause_list_as_it_copies(cleaned):
     # ``& a0`` reads a0 twice, so the clauses go through the clean-up first.
-    phi = And(_largest_blowup(), Atom("a0")) if cleaned else _largest_blowup()
+    phi = And(largest_blowup(), Atom("a0")) if cleaned else largest_blowup()
     tracemalloc.start()
     try:
         cnf = to_cnf(phi)
@@ -255,8 +262,9 @@ def test_the_one_copy_drops_each_clause_list_as_it_copies(cleaned):
         tracemalloc.stop()
     assert _clause_lists(phi, None)[2] is not cleaned
     assert cnf._coded[2] == (15,) * 2**15 + ((1,) if cleaned else ())
-    # 8.16 MiB on CPython 3.11 either way; 10.24 MiB when the clause lists
-    # are kept alive until the copy ends.
+    # On CPython 3.11, 8.00 MiB read-once, whose last product level is
+    # written straight into the codes, and 8.16 MiB cleaned; 10.24 MiB when
+    # the clause lists are kept alive until the copy ends.
     assert peak < 9.25 * 2**20
 
 
@@ -277,7 +285,7 @@ def test_budget_refuses_a_blowup_before_building_any_product():
 
 
 def test_horn_from_clauses_peak_memory_on_the_largest_blowup():
-    cnf = to_cnf(_largest_blowup())
+    cnf = to_cnf(largest_blowup())
     tracemalloc.start()
     try:
         horn = horn_from_clauses(cnf)
