@@ -63,20 +63,16 @@ def _rendered_sets(
     ``join`` lays out the set's atoms, each ``encode``-d once, in sorted
     order, and the caller writes the brackets around it, so each set is
     built in one copy.  A firing inserts its consequent only if that atom
-    is new, so each distinct set is rendered once.  The member set answers
-    that faster than a search of the sorted list when most firings repeat
-    an atom.
+    is new, so each distinct set is rendered once.
     """
-    members = set(trace.start)
-    atoms = sorted(members)
+    atoms = sorted(trace.start)
     items = [encode(atom) for atom in atoms]
     after = join(items)
     remaining = trace.formula.n
     for index, consequent in zip(trace.fired, trace._consequents()):
         before = after
-        if consequent not in members:
-            members.add(consequent)
-            position = bisect_right(atoms, consequent)
+        position = bisect_right(atoms, consequent)
+        if not position or atoms[position - 1] != consequent:
             atoms.insert(position, consequent)
             items.insert(position, encode(consequent))
             after = join(items)

@@ -189,16 +189,13 @@ def _fire(phi: HornFormula, current: bytearray, early_stop: bool) -> list[int]:
     for index, span in enumerate(spans):
         start, end = end, end + span
         count = 0
-        if span and waiting[codes[start]] is None and not present[codes[start]]:
-            count = 1  # the loop would stop at this first atom; no slice needed
-        else:
-            for code in codes[start:end]:
-                if not present[code]:
-                    count += 1
-                    waiters = waiting[code]
-                    if waiters is None:
-                        break  # never enters the set, so this one never fires
-                    waiters.append(index)
+        for code in codes[start:end]:
+            if not present[code]:
+                count += 1
+                waiters = waiting[code]
+                if waiters is None:
+                    break  # never enters the set, so this one never fires
+                waiters.append(index)
         missing.append(count)
         if not count:
             fireable.append(index)  # in ascending order, so already a heap

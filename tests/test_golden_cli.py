@@ -1,7 +1,10 @@
 """The CLI contract on a fixed corpus: every run's exit code, stdout and
 stderr must hash to the digest committed in ``golden_cli_digests.txt``,
-and a few runs must print the full text committed in
-``golden_cli_texts/``, so that a change to them shows as a diff.
+and the runs of ``TEXT_RUNS`` must print the full text committed in
+``golden_cli_texts/``, so that a change to them shows as a diff.  No
+text run prints a traceback, and each exit 1 prints exactly one
+``error:`` line on stderr.  CI runs every text run again through the
+installed ``hornsat`` script and compares its bytes.
 
 Each line of that file is ``input<TAB>command<TAB>sha256``.  Most runs
 read their input from standard input; the path runs read a missing file,
@@ -18,6 +21,8 @@ growing until the test process is killed.
 Regenerate both with ``PYTHONPATH=src python tests/test_golden_cli.py``,
 which prints the added, removed and changed ``input<TAB>command`` keys
 against the digest file it replaces, and the name of each changed text.
+A new CLI case is a ``TEXT_RUNS`` entry plus its committed text, made by
+that command, which then prints only ``text<TAB><name>`` for it.
 """
 
 import contextlib
@@ -66,6 +71,14 @@ USAGE_ERRORS = (
     ("check", "-"),
     ("solve",),
 )
+# A 200-link chain x1 -> ... -> x200 -> bot: the heads from x128 on have
+# literal codes of 256 and more, whose low bytes are small.  A parity mask
+# that misread any of them would break the chain.
+LONG_CHAIN_DIMACS = "p cnf 200 201\n1 0\n" + "".join(f"-{i} {i + 1} 0\n" for i in range(1, 200)) + "-200 0\n"
+# The 20-pair blowup ~((a0 | b0) & ... & (a19 | b19)) has 2^20 clauses.  The
+# default budget of 100000 refuses it on the clause count alone, before any
+# product is built.
+BLOWUP_20_PAIRS = "~(" + " & ".join(f"(a{i} | b{i})" for i in range(20)) + ")\n"
 # The runs whose full text is committed, each as ``(name, argv, standard
 # input)``; ``golden_cli_texts/<name>.txt`` holds its exit code, stdout
 # and stderr.
@@ -77,19 +90,51 @@ TEXT_RUNS = (
     ("trace-unsat-short", ("trace", "-"), UNSAT_SHORT_TEXT),
     ("trace-json-unsat-short", ("trace", "--json", "-"), UNSAT_SHORT_TEXT),
     ("trace-early-stop", ("trace", "-"), "~p & p & q & (~q | r)\n"),
+    # JSON escapes every non-ASCII character, as json.dumps does.
+    ("trace-json-non-ascii", ("trace", "--json", "-"), "p \u2227 (p \u2192 q)\n"),
     ("convert-true", ("convert", "-"), "true\n"),
     ("convert-false", ("convert", "-"), "false\n"),
     ("convert-or-true", ("convert", "-"), "p | true\n"),
     ("convert-not-false", ("convert", "-"), "~false & p\n"),
     ("convert-dimacs-empty-clause", ("convert", "--dimacs", "-"), "p cnf 0 1\n0\n"),
+    # A read-once product, whose clauses are copied as they are.
+    ("convert-product", ("convert", "-"), "~((a | b) & (c | d))\n"),
+    # Three factors of 3, 2 and 1 clauses: the last product level joins the
+    # first factor's clauses with the product of the other two.
+    ("convert-three-factors", ("convert", "-"), "~((a | b | c) & (d | e) & f)\n"),
+    # A clause cleaned of a repeated atom and of falsum.
+    ("convert-repeat-and-false", ("convert", "-"), "p | p | false\n"),
+    # A clause whose head comes before its antecedent.
+    ("convert-head-first", ("convert", "-"), "(p | ~q) & q\n"),
+    # Facts and rules, read a run at a time: a true antecedent, a false
+    # head, a repeated antecedent atom and a clause dropped as valid.
+    (
+        "convert-facts-and-rules",
+        ("convert", "-"),
+        "p & (p & q -> r) & (true -> s) & (r -> false) & (q & q -> s) & (p -> true) & q\n",
+    ),
     ("solve-dimacs", ("solve", "--dimacs", "-"), "c three vars\np cnf 3 3\n1 0\n-1 2 0\n-2 -3 0\n"),
     ("solve-both-shortcuts", ("solve", "-"), "p -> q\n"),
     ("solve-not-horn", ("solve", "-"), "p | q\n"),
     ("solve-clause-budget", ("solve", "--max-clauses", "3", "-"), "(p & q) | (r & s)\n"),
     ("solve-parse-error", ("solve", "-"), "p |\n"),
+    ("solve-fact-and-rule", ("solve", "-"), "p & (p -> q)\n"),
+    # p is held only by a clause dropped as valid, and still named.
+    ("solve-valid-clause", ("solve", "-"), "q & (p | true)\n"),
+    # No implication is a fact, so {top} is the fixpoint, returned without
+    # counting the four goal clauses.
+    ("solve-no-fact", ("solve", "-"), "~((a | b) & (c | d))\n"),
+    ("solve-unsat", ("solve", "-"), "p & ~p\n"),
+    ("solve-blowup-over-budget", ("solve", "-"), BLOWUP_20_PAIRS),
+    ("solve-dimacs-sat", ("solve", "--dimacs", "-"), "p cnf 3 2\n1 0\n-1 2 0\n"),
+    ("solve-dimacs-unsat", ("solve", "--dimacs", "-"), "p cnf 1 2\n1 0\n-1 0\n"),
+    ("solve-dimacs-not-horn", ("solve", "--dimacs", "-"), "p cnf 2 1\n1 2 0\n"),
+    ("solve-dimacs-long-chain", ("solve", "--dimacs", "-"), LONG_CHAIN_DIMACS),
     ("classify-valid", ("classify", "-"), "p | ~p\n"),
     ("classify-satisfiable", ("classify", "-"), "p & ~q\n"),
     ("classify-contradictory", ("classify", "-"), "p & ~p\n"),
+    ("classify-implication", ("classify", "-"), "p -> q\n"),
+    ("classify-symbol-cap", ("classify", "--max-symbols", "1", "-"), "p & q\n"),
 )
 
 
@@ -146,9 +191,9 @@ def run_digests_capped(runs):
     return [tuple(result) for result in json.loads(proc.stdout)]
 
 
-def run_text(argv, stdin_text):
-    """A run of ``cli_main(argv)`` laid out as its golden text file is."""
-    code, stdout, stderr = run_cli(argv, stdin_text)
+def golden_text(code, stdout, stderr):
+    """A run's exit code, stdout and stderr laid out as its golden text
+    file is."""
     return f"exit {code}\n--- stdout\n{stdout}--- stderr\n{stderr}"
 
 
@@ -212,17 +257,22 @@ def test_cli_output_matches_golden_digests():
 
 
 def test_cli_output_matches_golden_texts():
-    diffs = []
+    diffs, bad_stderr = [], []
     for name, argv, stdin_text in TEXT_RUNS:
         expected = (TEXTS / f"{name}.txt").read_text(encoding="utf-8")
-        actual = run_text(argv, stdin_text)
+        code, stdout, stderr = run_cli(argv, stdin_text)
         diffs += difflib.unified_diff(
             expected.splitlines(keepends=True),
-            actual.splitlines(keepends=True),
+            golden_text(code, stdout, stderr).splitlines(keepends=True),
             f"{name}.txt",
             f"hornsat {' '.join(argv)}",
         )
+        # Checked on the run itself, so a regenerated text cannot hide them.
+        one_error_line = stderr.startswith("error:") and stderr.count("\n") == 1 and stderr.endswith("\n")
+        if "Traceback" in stderr or (code == 1 and not one_error_line):
+            bad_stderr.append(name)
     assert not diffs, "output differs from the golden text:\n" + "".join(diffs)
+    assert not bad_stderr, f"a traceback, or an exit 1 without one error: line: {bad_stderr}"
     assert sorted(path.name for path in TEXTS.iterdir()) == sorted(f"{name}.txt" for name, _, _ in TEXT_RUNS)
 
 
@@ -243,7 +293,7 @@ if __name__ == "__main__":
     TEXTS.mkdir(exist_ok=True)
     for name, argv, stdin_text in TEXT_RUNS:
         path = TEXTS / f"{name}.txt"
-        text = run_text(argv, stdin_text)
+        text = golden_text(*run_cli(argv, stdin_text))
         if not path.exists() or path.read_text(encoding="utf-8") != text:
             print(f"text\t{name}")
             path.write_text(text, encoding="utf-8", newline="\n")
