@@ -278,14 +278,14 @@ def _cmd_trace(args: SimpleNamespace) -> int:
 
 
 def _cmd_convert(args: SimpleNamespace) -> int:
+    # Each section goes out in one call, a line at a time, so no section is
+    # held whole; a non-Horn input fails after its clauses, before ``horn:``.
     _, cnf = _load_cnf(args)
     print("clauses:")
-    for line in _clause_lines(cnf):
-        print(f"  {line}")
+    sys.stdout.writelines(map("  {}\n".format, _clause_lines(cnf)))
     horn = horn_from_clauses(cnf)
     print("horn:")
-    for line in _implication_lines(horn):
-        print(f"  {line}")
+    sys.stdout.writelines(map("  {}\n".format, _implication_lines(horn)))
     return 0
 
 

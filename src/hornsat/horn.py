@@ -17,7 +17,8 @@ and every reader skips the positive ones, which are the consequent.
 :func:`horn_from_clauses` finds the consequents and the antecedents'
 lengths: a parity mask, made in C, marks each literal positive or
 negated, and Python code runs once per positive literal.  It copies no
-literal unless a clause holds verum.
+literal unless a clause holds verum.  The readers of the antecedents take
+their codes through the same mask, so none makes a Python call per code.
 """
 
 from __future__ import annotations
@@ -35,6 +36,7 @@ from .normalform import (
     TOP_LITERAL,
     Clause,
     CnfFormula,
+    _literal,
     _token_formula,
     to_cnf,
 )
@@ -207,8 +209,8 @@ def _by_code(names: tuple[str, ...], negation: str = "") -> list[str]:
 
 def _negated(codes: tuple[int, ...]) -> Iterator[int]:
     """The negated codes of ``codes``, in order: the antecedents' atoms, as
-    codes, end to end."""
-    return compress(codes, map((1).__and__, codes))
+    codes, end to end, selected by the parity mask."""
+    return compress(codes, _low_bytes(codes).translate(_PARITY))
 
 
 # A byte table for ``bytes.translate``: a low byte's parity, 1 for a
@@ -271,7 +273,8 @@ def horn_from_clauses(cnf: CnfFormula) -> HornFormula:
             last, head = index, code
             heads[index] = code >> 1
         elif code != head:
-            raise NotHornError(positions[index], cnf._clause(positions[index]))
+            literals = tuple(_literal(names, code) for code in codes[end - spans[index] : end])
+            raise NotHornError(positions[index], Clause(literals))
         sizes[index] -= 1
         at = find(0, at + 1)
     return HornFormula(coded=(names, tuple(heads), codes, spans, tuple(sizes)))

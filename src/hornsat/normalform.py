@@ -189,12 +189,6 @@ class CnfFormula:
         _set_clauses(self, clauses)
         return clauses
 
-    def _clause(self, index: int) -> Clause:
-        """Clause ``index``, built alone."""
-        names, codes, sizes = self._coded
-        start = sum(islice(sizes, index))
-        return Clause(tuple(_literal(names, code) for code in codes[start : start + sizes[index]]))
-
     # Clause by clause, not ``evaluate(self.to_formula(), ...)``: building
     # the readback for every row took the 500-formula CNF equivalence check
     # (acceptance criterion 9) from 3.6 s to 318 s, against its 10 s bound

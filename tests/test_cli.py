@@ -53,6 +53,7 @@ from helpers import (
     UNSAT_CHAIN_TEXT,
     UNSAT_SHORT_TEXT,
     formula_strategy,
+    largest_blowup,
     planted_horn_dimacs,
     random_dimacs_text,
     random_horn,
@@ -963,6 +964,59 @@ def test_trace_json_scales_with_output_size(tmp_path):
     assert document["step_count"] == links + 2
     assert document["final_set"] == sorted(replayed) == sorted([*(f"x{k}" for k in range(1, links + 2)), "top"])
     assert document["model"] == {f"x{k}": 1 for k in range(1, links + 2)}
+
+
+class _ByteCount(io.TextIOBase):
+    """A standard output that counts the UTF-8 bytes written and keeps
+    none of them; ``writelines`` writes one line at a time."""
+
+    def __init__(self):
+        self.size = 0
+
+    def write(self, text):
+        self.size += len(text.encode("utf-8"))
+        return len(text)
+
+
+def test_convert_streams_its_sections(tmp_path):
+    path = tmp_path / "blowup.txt"
+    path.write_text(render(largest_blowup()) + "\n", encoding="utf-8")
+    sink = _ByteCount()
+    tracemalloc.start()
+    try:
+        with contextlib.redirect_stdout(sink):
+            assert cli_main(["convert", str(path)]) == 0
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    # 2^15 clause lines and as many implication lines.
+    assert sink.size == 5_963_791
+    # On CPython 3.11, 8.95 MiB with each section written in one call, a
+    # line at a time, and 12.91 MiB when a section is joined or passed
+    # whole to one ``print``.
+    assert peak < 10.5 * 2**20
+
+
+@pytest.mark.parametrize("size", [1, 70_000])
+@pytest.mark.parametrize("command", [["convert"], ["trace"], ["trace", "--json"]])
+def test_closed_standard_output_is_one_error_line(tmp_path, command, size):
+    # A reader that closes the pipe early, as ``| head -c 1`` does, ends the
+    # run with exit 1 and one ``error:`` line, not a traceback.
+    path = tmp_path / "blowup.txt"
+    path.write_text(render(largest_blowup()) + "\n", encoding="utf-8")
+    with subprocess.Popen(
+        [sys.executable, "-m", "hornsat", *command, str(path)],
+        stdout=subprocess.PIPE,
+        stderr=subprocess.PIPE,
+        env={**os.environ, "PYTHONPATH": str(Path(hornsat.__file__).parents[1])},
+    ) as proc:
+        assert len(proc.stdout.read(size)) == size
+        proc.stdout.close()
+        stderr = proc.stderr.read().decode("utf-8")
+        code = proc.wait(timeout=60)
+    assert code == 1
+    assert "Traceback" not in stderr and "Exception ignored" not in stderr, stderr
+    assert len(stderr.splitlines()) == 1 and stderr.startswith("error:"), stderr
 
 
 # Runs each ``(argv, stdin text)`` pair through ``cli_main`` under a

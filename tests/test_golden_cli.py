@@ -113,6 +113,8 @@ TEXT_RUNS = (
         ("convert", "-"),
         "p & (p & q -> r) & (true -> s) & (r -> false) & (q & q -> s) & (p -> true) & q\n",
     ),
+    # The clauses go out before the Horn pass fails, and no ``horn:`` line.
+    ("convert-not-horn", ("convert", "-"), "p | q\n"),
     ("solve-dimacs", ("solve", "--dimacs", "-"), "c three vars\np cnf 3 3\n1 0\n-1 2 0\n-2 -3 0\n"),
     ("solve-both-shortcuts", ("solve", "-"), "p -> q\n"),
     ("solve-not-horn", ("solve", "-"), "p | q\n"),
