@@ -15,14 +15,13 @@ from bisect import bisect_right
 from collections.abc import Callable, Iterator, Sequence
 from types import SimpleNamespace
 
-from .formula import _record
 from .horn import HornFormula, _by_code, _negated, horn_from_clauses
 from .normalform import TOP, CnfFormula, to_cnf
 from .oracle import DEFAULT_SYMBOL_CAP, classify
 from .parsing import parse_dimacs, parse_formula
 from .solver import SolveOutcome, Trace, extract_model, precheck, solve
 
-__all__ = ["TraceDocument", "build_trace_document", "cli_main", "main"]
+__all__ = ["cli_main", "main"]
 
 EXIT_SAT = 10
 EXIT_UNSAT = 20
@@ -81,7 +80,7 @@ def _rendered_sets(
     yield None, None, remaining, after, after
 
 
-# ``to_json`` writes out the layout of ``json.dumps(document, indent=2)``
+# ``_trace_json`` writes out the layout of ``json.dumps(..., indent=2)``
 # by hand: with ``indent``, json falls back to its pure-Python encoder,
 # which costs calls per value and would render every set twice.  Strings
 # go straight to the C function that ``json.dumps`` calls for a ``str``,
@@ -115,89 +114,89 @@ def _json_block(items: list[str], brackets: str = "[]") -> str:
     return f"{brackets[0]}\n    " + ",\n    ".join(items) + f"\n  {brackets[1]}"
 
 
-@_record
-class TraceDocument:
-    """A full solver run, ready for text or JSON output."""
+def _derived(outcome: SolveOutcome) -> tuple[HornFormula, dict[str, int] | None, str | None]:
+    """The run's formula, its least model (None if UNSAT) and its shortcut
+    note (None if no shortcut applies)."""
+    horn = outcome.trace.formula
+    model = extract_model(horn, outcome.final_set) if outcome.satisfiable else None
+    return horn, model, "; ".join(precheck(horn)) or None
 
-    input_formula: str
-    horn_form: tuple[str, ...]
-    steps: Trace
-    final_set: tuple[str, ...]
-    verdict: str
-    model: dict[str, int] | None
-    step_count: int
-    shortcut: str | None
 
-    def to_json(self) -> str:
-        """The document as ``json.dumps(..., indent=2)`` prints it: keys in
-        field order, each set a sorted array, the model sorted by name.
-        The steps, and each step's sets, are laid out as non-empty arrays:
-        every trace ends in its terminal step, and every set of a run holds
-        ``top``, which :func:`saturate` requires of its start set."""
-        atoms = _JsonAtoms()
-        parts = [
-            '{\n  "input_formula": ',
-            _json_str(self.input_formula),
-            ',\n  "horn_form": ',
-            _json_block(list(map(_json_str, self.horn_form))),
-            ',\n  "steps": ',
-        ]
-        opening = "[\n    {"
-        for index, consequent, remaining, before, after in _rendered_sets(
-            self.steps, atoms.__getitem__, ",\n        ".join  # document > steps > step > set
-        ):
-            fired = (
-                '"fired_index": null,\n      "consequent_added": null'
-                if index is None
-                else f'"fired_index": {index},\n      "consequent_added": {atoms[consequent]}'
-            )
-            parts += (
-                f'{opening}\n      {fired},\n      "set_before": [\n        ',
-                before,
-                '\n      ],\n      "set_after": [\n        ',
-                after,
-                f'\n      ],\n      "remaining_after": {remaining}\n    }}',
-            )
-            opening = ",\n    {"
-        parts.append("\n  ]")
-        model = "null"
-        if self.model is not None:
-            entries = [f"{atoms[name]}: {value}" for name, value in sorted(self.model.items())]
-            model = _json_block(entries, "{}")
-        parts += (
-            ',\n  "final_set": ',
-            _json_block([atoms[name] for name in self.final_set]),
-            ',\n  "verdict": ',
-            _json_str(self.verdict),
-            ',\n  "model": ',
-            model,
-            ',\n  "step_count": ',
-            str(self.step_count),
-            ',\n  "shortcut": ',
-            "null" if self.shortcut is None else _json_str(self.shortcut),
-            "\n}",
+def _trace_json(text: str, outcome: SolveOutcome) -> str:
+    """The run of ``text`` as ``json.dumps(..., indent=2)`` prints it: keys
+    in a fixed order, each set a sorted array, the model sorted by name.
+    The steps, and each step's sets, are laid out as non-empty arrays:
+    every trace ends in its terminal step, and every set of a run holds
+    ``top``, which :func:`saturate` requires of its start set."""
+    horn, model, shortcut = _derived(outcome)
+    atoms = _JsonAtoms()
+    parts = [
+        '{\n  "input_formula": ',
+        _json_str(text.strip()),
+        ',\n  "horn_form": ',
+        _json_block(list(map(_json_str, _implication_lines(horn)))),
+        ',\n  "steps": ',
+    ]
+    opening = "[\n    {"
+    for index, consequent, remaining, before, after in _rendered_sets(
+        outcome.trace, atoms.__getitem__, ",\n        ".join  # document > steps > step > set
+    ):
+        fired = (
+            '"fired_index": null,\n      "consequent_added": null'
+            if index is None
+            else f'"fired_index": {index},\n      "consequent_added": {atoms[consequent]}'
         )
-        return "".join(parts)
+        parts += (
+            f'{opening}\n      {fired},\n      "set_before": [\n        ',
+            before,
+            '\n      ],\n      "set_after": [\n        ',
+            after,
+            f'\n      ],\n      "remaining_after": {remaining}\n    }}',
+        )
+        opening = ",\n    {"
+    parts.append("\n  ]")
+    model_json = "null"
+    if model is not None:
+        entries = [f"{atoms[name]}: {value}" for name, value in sorted(model.items())]
+        model_json = _json_block(entries, "{}")
+    parts += (
+        ',\n  "final_set": ',
+        _json_block([atoms[name] for name in sorted(outcome.final_set)]),
+        ',\n  "verdict": ',
+        '"SAT"' if outcome.satisfiable else '"UNSAT"',
+        ',\n  "model": ',
+        model_json,
+        ',\n  "step_count": ',
+        str(outcome.steps),
+        ',\n  "shortcut": ',
+        "null" if shortcut is None else _json_str(shortcut),
+        "\n}",
+    )
+    return "".join(parts)
 
-    def to_text(self) -> str:
-        parts = [f"input:    {self.input_formula}\nhorn:"]
-        for index, implication in enumerate(self.horn_form):
-            parts.append(f"\n  [{index}] {implication}")
-        if self.shortcut:
-            parts.append(f"\nshortcut: {self.shortcut}")
-        parts.append("\ntrace:")
-        steps = _rendered_sets(self.steps, str, ", ".join)
-        for number, (index, _, remaining, before, after) in enumerate(steps, start=1):
-            if index is None:
-                parts += (f"\n  {number}. stop ({remaining} remaining): {{", after, "}")
-            else:
-                implication = self.horn_form[index]
-                parts += (f"\n  {number}. fire [{index}] {implication}: {{", before, "} => {", after, "}")
-        parts.append(f"\nfinal:    {{{', '.join(self.final_set)}}}")
-        parts.append(f"\nsteps:    {self.step_count}\nverdict:  {self.verdict}")
-        if self.model is not None:
-            parts.append(f"\nmodel:    {_model_line(self.model)}")
-        return "".join(parts)
+
+def _trace_text(text: str, outcome: SolveOutcome) -> str:
+    """The run of ``text`` as ``trace`` prints it without ``--json``."""
+    horn, model, shortcut = _derived(outcome)
+    horn_form = list(_implication_lines(horn))
+    parts = [f"input:    {text.strip()}\nhorn:"]
+    for index, implication in enumerate(horn_form):
+        parts.append(f"\n  [{index}] {implication}")
+    if shortcut:
+        parts.append(f"\nshortcut: {shortcut}")
+    parts.append("\ntrace:")
+    steps = _rendered_sets(outcome.trace, str, ", ".join)
+    for number, (index, _, remaining, before, after) in enumerate(steps, start=1):
+        if index is None:
+            parts += (f"\n  {number}. stop ({remaining} remaining): {{", after, "}")
+        else:
+            implication = horn_form[index]
+            parts += (f"\n  {number}. fire [{index}] {implication}: {{", before, "} => {", after, "}")
+    parts.append(f"\nfinal:    {{{', '.join(sorted(outcome.final_set))}}}")
+    parts.append(f"\nsteps:    {outcome.steps}\nverdict:  {'SAT' if outcome.satisfiable else 'UNSAT'}")
+    if model is not None:
+        parts.append(f"\nmodel:    {_model_line(model)}")
+    return "".join(parts)
 
 
 def build_trace_document(
@@ -206,16 +205,16 @@ def build_trace_document(
     outcome: SolveOutcome,
     model: dict[str, int] | None,
     shortcut: str | None,
-) -> TraceDocument:
-    return TraceDocument(
-        input_formula=input_text.strip(),
-        horn_form=tuple(_implication_lines(horn)),
-        steps=outcome.trace,
-        final_set=tuple(sorted(outcome.final_set)),
-        verdict="SAT" if outcome.satisfiable else "UNSAT",
-        model=model,
-        step_count=outcome.steps,
-        shortcut=shortcut,
+) -> SimpleNamespace:
+    """The run's ``to_json`` and ``to_text``, kept only for the traced mode
+    of ``perfbench/worker.py`` until ROADMAP item 1b.  ``horn``, ``model``
+    and ``shortcut`` are not read: they are the values that the renderers
+    derive from ``outcome`` themselves.  The worker's ``setdefault`` loop
+    over the source symbols adds nothing to ``model``, since the atom
+    table names every one of them."""
+    return SimpleNamespace(
+        to_json=lambda: _trace_json(input_text, outcome),
+        to_text=lambda: _trace_text(input_text, outcome),
     )
 
 
@@ -240,25 +239,22 @@ def _read_input(path: str) -> str:
     return text
 
 
-def _load_cnf(args: SimpleNamespace) -> tuple[str, CnfFormula]:
-    """Read the input and produce its clauses."""
-    text = _read_input(args.path)
+def _cnf(args: SimpleNamespace, text: str) -> CnfFormula:
+    """The clauses of ``text``: read as DIMACS, or parsed and converted."""
     if args.dimacs:
-        return text, parse_dimacs(text)
-    return text, to_cnf(parse_formula(text), max_clauses=args.max_clauses)
+        return parse_dimacs(text)
+    return to_cnf(parse_formula(text), max_clauses=args.max_clauses)
 
 
-def _run_solver(args: SimpleNamespace):
-    text, cnf = _load_cnf(args)
-    horn = horn_from_clauses(cnf)
-    shortcut = "; ".join(precheck(horn)) or None
-    outcome = solve(horn, early_stop=True)
-    model = extract_model(horn, outcome.final_set) if outcome.satisfiable else None
-    return text, horn, outcome, model, shortcut
+def _solved(args: SimpleNamespace) -> tuple[str, SolveOutcome]:
+    """The input text and its run, stopped early once falsum is derived."""
+    text = _read_input(args.path)
+    return text, solve(horn_from_clauses(_cnf(args, text)), early_stop=True)
 
 
 def _cmd_solve(args: SimpleNamespace) -> int:
-    _, _, outcome, model, shortcut = _run_solver(args)
+    _, outcome = _solved(args)
+    _, model, shortcut = _derived(outcome)
     if shortcut and not args.no_precheck:
         print(f"note: shortcut: {shortcut}", file=sys.stderr)
     if outcome.satisfiable:
@@ -271,16 +267,15 @@ def _cmd_solve(args: SimpleNamespace) -> int:
 
 
 def _cmd_trace(args: SimpleNamespace) -> int:
-    text, horn, outcome, model, shortcut = _run_solver(args)
-    document = build_trace_document(text, horn, outcome, model, shortcut)
-    print(document.to_json() if args.json else document.to_text())
+    text, outcome = _solved(args)
+    print((_trace_json if args.json else _trace_text)(text, outcome))
     return EXIT_SAT if outcome.satisfiable else EXIT_UNSAT
 
 
 def _cmd_convert(args: SimpleNamespace) -> int:
     # Each section goes out in one call, a line at a time, so no section is
     # held whole; a non-Horn input fails after its clauses, before ``horn:``.
-    _, cnf = _load_cnf(args)
+    cnf = _cnf(args, _read_input(args.path))
     print("clauses:")
     sys.stdout.writelines(map("  {}\n".format, _clause_lines(cnf)))
     horn = horn_from_clauses(cnf)

@@ -9,6 +9,7 @@ import random
 import re
 from dataclasses import dataclass
 from functools import cache, reduce
+from types import SimpleNamespace
 from typing import Iterable, Iterator, NamedTuple, Sequence
 
 import hypothesis.strategies as st
@@ -39,12 +40,15 @@ from hornsat import (
     NotHornError,
     Or,
     ParseError,
+    SolveOutcome,
     Top,
     Verum,
     enumerate_valuations,
     evaluate,
+    extract_model,
     horn_to_formula,
     is_basic_horn,
+    precheck,
     symbols,
 )
 from hornsat.cli import (
@@ -647,10 +651,30 @@ def reference_models(phi: Formula, cap: int = DEFAULT_SYMBOL_CAP) -> list[dict[s
     return [v for v in enumerate_valuations(symbols(phi), cap) if evaluate(phi, v)]
 
 
-# The trace renderer as it was before ``TraceDocument`` rendered each set
-# once: every step re-sorts both of its sets, and the JSON goes through
-# ``json.dumps(..., indent=2)``.  The reference ``to_json`` and ``to_text``
-# must match byte for byte.
+# The trace renderer as it was before each set was rendered once: every
+# step re-sorts both of its sets, and the JSON goes through
+# ``json.dumps(..., indent=2)``.  ``cli._trace_json`` and ``cli._trace_text``
+# must match it byte for byte.
+def reference_trace_document(text: str, outcome: SolveOutcome) -> SimpleNamespace:
+    """The fields the reference renderers read, for the run ``outcome`` of
+    ``text``: each implication written out from its atoms, the model and
+    the shortcut note derived here with ``extract_model`` and
+    ``precheck``."""
+    horn = outcome.trace.formula
+    return SimpleNamespace(
+        input_formula=text.strip(),
+        horn_form=tuple(
+            f"{' & '.join(imp.antecedent.atoms) or TOP} -> {imp.consequent}" for imp in horn.implications
+        ),
+        steps=outcome.trace,
+        final_set=tuple(sorted(outcome.final_set)),
+        verdict="SAT" if outcome.satisfiable else "UNSAT",
+        model=extract_model(horn, outcome.final_set) if outcome.satisfiable else None,
+        step_count=outcome.steps,
+        shortcut="; ".join(precheck(horn)) or None,
+    )
+
+
 def _displayed_steps(steps):
     before = sorted(steps[0].set_before) if steps else []
     for step in steps:

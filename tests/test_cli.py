@@ -28,23 +28,22 @@ from hornsat import (
     HornFormula,
     HornImplication,
     Literal,
+    SolveOutcome,
     Top,
     extract_model,
     horn_from_clauses,
     parse_dimacs,
     parse_formula,
-    precheck,
     saturate,
     solve,
     to_cnf,
 )
 from hornsat.cli import (
     DEFAULT_CLAUSE_BUDGET,
-    TraceDocument,
-    _implication_lines,
     _json_str,
     _parse_args,
-    build_trace_document,
+    _trace_json,
+    _trace_text,
     cli_main,
 )
 
@@ -54,13 +53,16 @@ from helpers import (
     UNSAT_SHORT_TEXT,
     formula_strategy,
     largest_blowup,
+    malformed,
     planted_horn_dimacs,
     random_dimacs_text,
     random_horn,
     reference_parse_args,
+    reference_trace_document,
     reference_trace_json,
     reference_trace_text,
     render,
+    respelled,
     rule,
     unit,
 )
@@ -643,6 +645,60 @@ def test_classify_beyond_any_table_size_is_an_error(write, capsys):
     assert "truth table over 70 symbols is too large" in captured.err
 
 
+# Every command form the CLI has: the four solving commands on formula text
+# and on DIMACS, both verdict commands, and the two limits at values that
+# refuse.
+_COMMAND_FORMS = [
+    [*command, "-", *dimacs]
+    for command in (["solve"], ["trace"], ["trace", "--json"], ["convert"])
+    for dimacs in ([], ["--dimacs"])
+] + [["classify", "-"], ["solve", "-", "--max-clauses", "0"], ["classify", "-", "--max-symbols", "2"]]
+# Every spelling of every operator and constant, DIMACS tokens, ints the
+# DIMACS reader refuses (``1_0``, ``٣``), a byte order mark and NUL.
+_SOUP_TOKENS = (
+    *("<->", "↔", "->", "→", "|", "∨", "\\/", "&", "∧", "/\\", "~", "¬", "!", "(", ")"),
+    *("false", "⊥", "bot", "true", "⊤", "top", "p", "q", "x1"),
+    *("p cnf 2 1", "c", "0", "1", "-2", "+1", "1_0", "٣", "\ufeff", "\x00"),
+)
+_SOUP = st.lists(
+    st.tuples(st.sampled_from(_SOUP_TOKENS), st.sampled_from(("", " ", "\n"))), max_size=16
+).map(lambda pairs: "".join(token + separator for token, separator in pairs))
+# A seeded ``random.Random``: drawn from a seed rather than as hypothesis's
+# own random, whose draws shrink to 0.0 and so take every rare branch of
+# ``random_dimacs_text`` at once.
+_SEEDED = st.integers(0, 2**32).map(random.Random)
+# Formula texts as ``render`` writes them or respelled, about as often as
+# broken by ``malformed``.
+_MUTATIONS = (None, None, "respell", "respell", "drop", "double", "$", ")", "(")
+
+
+def _mutated(phi, rng, mutation):
+    text = render(phi)
+    if mutation == "respell":
+        return respelled(rng, text)
+    return text if mutation is None else malformed(rng, text, mutation)
+
+
+@settings(max_examples=400, deadline=None)
+@given(
+    st.one_of(
+        st.builds(_mutated, formula_strategy(max_leaves=8), _SEEDED, st.sampled_from(_MUTATIONS)),
+        _SEEDED.map(random_dimacs_text),
+        _SOUP,
+    )
+)
+def test_generated_texts_exit_cleanly_under_every_command(text):
+    # Whatever the text, no command raises: each stage's errors reach the
+    # one handler in ``cli_main``, which prints one ``error:`` line.
+    for argv in _COMMAND_FORMS:
+        code, _, err = run_cli(argv, text)
+        assert code in (0, 1, 10, 20), argv
+        if code == 1:
+            assert err.startswith("error: ") and err.count("\n") == 1 and err.endswith("\n"), (argv, err)
+        else:
+            assert "error:" not in err, (argv, err)
+
+
 def _run(argv, capsys):
     """Exit code, stdout and stderr of one ``cli_main`` call."""
     try:
@@ -740,10 +796,10 @@ def test_cli_leaves_the_collector_as_it_found_it(write, capsys, monkeypatch, col
             assert gc.isenabled() is collecting
         capsys.readouterr()
 
-        def unexpected(args):
+        def unexpected(path):
             raise RuntimeError("unexpected")
 
-        monkeypatch.setattr("hornsat.cli._load_cnf", unexpected)
+        monkeypatch.setattr("hornsat.cli._read_input", unexpected)
         with pytest.raises(RuntimeError):
             cli_main(runs[0][0])
         assert gc.isenabled() is collecting
@@ -770,23 +826,13 @@ _IMPLICATIONS = st.builds(
 )
 
 
-def _document(input_formula, horn, start, early_stop, model, shortcut):
-    final, steps = saturate(horn, start, early_stop)
-    return TraceDocument(
-        input_formula=input_formula,
-        horn_form=tuple(_implication_lines(horn)),
-        steps=steps,
-        final_set=tuple(sorted(final)),
-        verdict="UNSAT" if BOT in final else "SAT",
-        model=model,
-        step_count=len(steps),
-        shortcut=shortcut,
-    )
-
-
-def _assert_renders_like_reference(document):
-    assert document.to_json() == reference_trace_json(document)
-    assert document.to_text() == reference_trace_text(document)
+def _assert_renders_like_reference(text, outcome):
+    """Check both renderers on the run ``outcome`` of ``text``, and return
+    the reference's document of it."""
+    document = reference_trace_document(text, outcome)
+    assert _trace_json(text, outcome) == reference_trace_json(document)
+    assert _trace_text(text, outcome) == reference_trace_text(document)
+    return document
 
 
 @given(
@@ -794,52 +840,50 @@ def _assert_renders_like_reference(document):
     implications=st.lists(_IMPLICATIONS, max_size=10),
     extra=st.sets(st.sampled_from(_NAMES + (BOT,)), max_size=3),
     early_stop=st.booleans(),
-    model=st.one_of(st.none(), st.dictionaries(st.sampled_from(_NAMES), st.integers(0, 1))),
-    shortcut=st.sampled_from(_SHORTCUTS),
 )
-@example(  # early stop with an implication left unfired
+@example(  # early stop with an implication left unfired, and no shortcut
     input_formula="",
     implications=[unit(BOT), unit("p")],
     extra=set(),
     early_stop=True,
-    model=None,
-    shortcut=None,
 )
-@example(  # a consequent already in the set, and an empty model
+@example(  # a consequent already in the set, and no falsum consequent
     input_formula="p ∧ q",
     implications=[unit("p"), unit("p"), rule(("p",), "q")],
     extra={"q"},
     early_stop=False,
-    model={},
-    shortcut=SHORTCUT_NO_BOT_CONSEQUENT,
 )
-@example(  # no implications at all
+@example(  # no implications at all: both shortcuts, and an empty model
     input_formula="top",
     implications=[],
     extra=set(),
     early_stop=True,
-    model={},
-    shortcut=_SHORTCUTS[3],
 )
-def test_trace_rendering_matches_reference(
-    input_formula, implications, extra, early_stop, model, shortcut
-):
+@example(  # no verum antecedent, and falsum derived from an extra start atom
+    input_formula=" p\n",
+    implications=[rule(("p",), BOT)],
+    extra={"p"},
+    early_stop=False,
+)
+def test_trace_rendering_matches_reference(input_formula, implications, extra, early_stop):
     horn = HornFormula(tuple(implications))
-    start = frozenset({TOP} | extra)
-    _assert_renders_like_reference(
-        _document(input_formula, horn, start, early_stop, model, shortcut)
-    )
+    final, trace = saturate(horn, frozenset({TOP} | extra), early_stop)
+    _assert_renders_like_reference(input_formula, SolveOutcome(BOT not in final, final, trace, len(trace)))
 
 
 def test_trace_rendering_matches_reference_on_seeded_runs():
     rng = random.Random(53)
+    shortcuts, models = set(), set()
     for _ in range(500):
         horn = random_horn(rng, _NAMES, rng.randint(0, 25), bot_antecedent_rate=0.2)
         outcome = solve(horn, early_stop=rng.random() < 0.8)
-        model = extract_model(horn, outcome.final_set) if outcome.satisfiable else None
-        shortcut = rng.choice(_SHORTCUTS)
         text = rng.choice(["p & q", " p ∧ q\n", "¬p → ⊥", ""])
-        _assert_renders_like_reference(build_trace_document(text, horn, outcome, model, shortcut))
+        document = _assert_renders_like_reference(text, outcome)
+        shortcuts.add(document.shortcut)
+        models.add(None if document.model is None else len(document.model) > 0)
+    # Every shortcut note occurs, and so do no model, an empty one and another.
+    assert shortcuts == set(_SHORTCUTS)
+    assert models == {None, False, True}
 
 
 @pytest.mark.parametrize(
@@ -855,15 +899,11 @@ def test_trace_rendering_matches_reference_on_seeded_runs():
 )
 @pytest.mark.parametrize("json_flag", [[], ["--json"]])
 def test_trace_output_matches_reference(write, capsys, text, json_flag):
-    horn = horn_from_clauses(to_cnf(parse_formula(text)))
-    outcome = solve(horn, early_stop=True)
-    model = extract_model(horn, outcome.final_set) if outcome.satisfiable else None
-    shortcut = "; ".join(precheck(horn)) or None
-    document = build_trace_document(text, horn, outcome, model, shortcut)
+    outcome = solve(horn_from_clauses(to_cnf(parse_formula(text))), early_stop=True)
     render = reference_trace_json if json_flag else reference_trace_text
     assert cli_main(["trace", write(text), *json_flag]) in (10, 20)
     out = capsys.readouterr().out
-    assert out == render(document) + "\n"
+    assert out == render(reference_trace_document(text, outcome)) + "\n"
     if text == "p ∧ q" and json_flag:
         assert '"input_formula": "p \\u2227 q"' in out
 

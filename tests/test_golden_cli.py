@@ -178,8 +178,12 @@ def _cap_memory():
 def run_digests_capped(runs):
     """``run_digest`` of each ``(argv, stdin text)`` pair in ``runs``, run
     in a child interpreter limited to ``MEMORY_CAP`` bytes of address
-    space."""
-    paths = (str(Path(hornsat.__file__).parents[1]), str(Path(__file__).parent))
+    space.  The caller's own ``PYTHONPATH`` follows ``src`` and ``tests``,
+    so the test packages are found where they are on the path rather than
+    installed."""
+    paths = [str(Path(hornsat.__file__).parents[1]), str(Path(__file__).parent)]
+    if os.environ.get("PYTHONPATH"):
+        paths.append(os.environ["PYTHONPATH"])
     proc = subprocess.run(
         [sys.executable, "-c", _CAPPED_SCRIPT],
         input=json.dumps(runs),

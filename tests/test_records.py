@@ -30,7 +30,6 @@ from hornsat import (
     solve,
     to_cnf,
 )
-from hornsat.cli import TraceDocument, build_trace_document
 from hornsat.formula import FrozenInstanceError, _Binary, _record
 
 from helpers import UNSAT_CHAIN_TEXT
@@ -59,8 +58,6 @@ RECORDS = [
     IMPLICATION,
     HornFormula((IMPLICATION,)),
     OUTCOME,
-    # Unsatisfiable, so ``model`` is None and the document hashes.
-    build_trace_document(UNSAT_CHAIN_TEXT, HORN, OUTCOME, None, None),
 ]
 
 
@@ -102,9 +99,7 @@ def _held_records(record):
 def test_records_hold_no_mutable_containers(record):
     for held in _held_records(record):
         for name in held._fields:
-            # A trace document's model is a documented dict.
-            if (type(held), name) != (TraceDocument, "model"):
-                assert not isinstance(getattr(held, name), (list, dict, set)), name
+            assert not isinstance(getattr(held, name), (list, dict, set)), name
 
 
 def test_repr_and_hash_read_the_public_fields():
