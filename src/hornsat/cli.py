@@ -84,26 +84,8 @@ def _rendered_sets(
 # by hand: with ``indent``, json falls back to its pure-Python encoder,
 # which costs calls per value and would render every set twice.  Strings
 # go straight to the C function that ``json.dumps`` calls for a ``str``,
-# so they are escaped the same way.
-def _json_str(text: str) -> str:
-    """``text`` as a JSON string.  The first call imports ``json`` and
-    rebinds this name to that C function, so only ``trace --json`` loads
-    the module."""
-    global _json_str
-    from json.encoder import encode_basestring_ascii
-
-    _json_str = encode_basestring_ascii
-    return encode_basestring_ascii(text)
-
-
-class _JsonAtoms(dict):
-    """Each atom's JSON string, encoded on first read and reused."""
-
-    __slots__ = ()
-
-    def __missing__(self, atom: str) -> str:
-        self[atom] = encoded = _json_str(atom)
-        return encoded
+# so they are escaped the same way.  Both renderers yield a run in
+# pieces, without the final newline, and hold no more than a step of it.
 
 
 def _json_block(items: list[str], brackets: str = "[]") -> str:
@@ -122,22 +104,24 @@ def _derived(outcome: SolveOutcome) -> tuple[HornFormula, dict[str, int] | None,
     return horn, model, "; ".join(precheck(horn)) or None
 
 
-def _trace_json(text: str, outcome: SolveOutcome) -> str:
+def _trace_json(text: str, outcome: SolveOutcome) -> Iterator[str]:
     """The run of ``text`` as ``json.dumps(..., indent=2)`` prints it: keys
     in a fixed order, each set a sorted array, the model sorted by name.
     The steps, and each step's sets, are laid out as non-empty arrays:
     every trace ends in its terminal step, and every set of a run holds
     ``top``, which :func:`saturate` requires of its start set."""
+    from json.encoder import encode_basestring_ascii as encode  # only --json loads json
+
     horn, model, shortcut = _derived(outcome)
-    atoms = _JsonAtoms()
-    parts = [
+    # Every atom a run prints is in its table or its start set.
+    atoms = {atom: encode(atom) for atom in (*horn._coded[0], *outcome.trace.start)}
+    yield from (
         '{\n  "input_formula": ',
-        _json_str(text.strip()),
+        encode(text.strip()),
         ',\n  "horn_form": ',
-        _json_block(list(map(_json_str, _implication_lines(horn)))),
-        ',\n  "steps": ',
-    ]
-    opening = "[\n    {"
+        _json_block(list(map(encode, _implication_lines(horn)))),
+    )
+    opening = ',\n  "steps": [\n    {'
     for index, consequent, remaining, before, after in _rendered_sets(
         outcome.trace, atoms.__getitem__, ",\n        ".join  # document > steps > step > set
     ):
@@ -146,7 +130,7 @@ def _trace_json(text: str, outcome: SolveOutcome) -> str:
             if index is None
             else f'"fired_index": {index},\n      "consequent_added": {atoms[consequent]}'
         )
-        parts += (
+        yield from (
             f'{opening}\n      {fired},\n      "set_before": [\n        ',
             before,
             '\n      ],\n      "set_after": [\n        ',
@@ -154,49 +138,42 @@ def _trace_json(text: str, outcome: SolveOutcome) -> str:
             f'\n      ],\n      "remaining_after": {remaining}\n    }}',
         )
         opening = ",\n    {"
-    parts.append("\n  ]")
     model_json = "null"
     if model is not None:
         entries = [f"{atoms[name]}: {value}" for name, value in sorted(model.items())]
         model_json = _json_block(entries, "{}")
-    parts += (
-        ',\n  "final_set": ',
+    verdict = "SAT" if outcome.satisfiable else "UNSAT"
+    note = "null" if shortcut is None else encode(shortcut)
+    yield from (
+        '\n  ],\n  "final_set": ',
         _json_block([atoms[name] for name in sorted(outcome.final_set)]),
-        ',\n  "verdict": ',
-        '"SAT"' if outcome.satisfiable else '"UNSAT"',
-        ',\n  "model": ',
+        f',\n  "verdict": "{verdict}",\n  "model": ',
         model_json,
-        ',\n  "step_count": ',
-        str(outcome.steps),
-        ',\n  "shortcut": ',
-        "null" if shortcut is None else _json_str(shortcut),
-        "\n}",
+        f',\n  "step_count": {outcome.steps},\n  "shortcut": {note}\n}}',
     )
-    return "".join(parts)
 
 
-def _trace_text(text: str, outcome: SolveOutcome) -> str:
+def _trace_text(text: str, outcome: SolveOutcome) -> Iterator[str]:
     """The run of ``text`` as ``trace`` prints it without ``--json``."""
     horn, model, shortcut = _derived(outcome)
     horn_form = list(_implication_lines(horn))
-    parts = [f"input:    {text.strip()}\nhorn:"]
+    yield f"input:    {text.strip()}\nhorn:"
     for index, implication in enumerate(horn_form):
-        parts.append(f"\n  [{index}] {implication}")
+        yield f"\n  [{index}] {implication}"
     if shortcut:
-        parts.append(f"\nshortcut: {shortcut}")
-    parts.append("\ntrace:")
+        yield f"\nshortcut: {shortcut}"
+    yield "\ntrace:"
     steps = _rendered_sets(outcome.trace, str, ", ".join)
     for number, (index, _, remaining, before, after) in enumerate(steps, start=1):
         if index is None:
-            parts += (f"\n  {number}. stop ({remaining} remaining): {{", after, "}")
+            yield from (f"\n  {number}. stop ({remaining} remaining): {{", after, "}")
         else:
             implication = horn_form[index]
-            parts += (f"\n  {number}. fire [{index}] {implication}: {{", before, "} => {", after, "}")
-    parts.append(f"\nfinal:    {{{', '.join(sorted(outcome.final_set))}}}")
-    parts.append(f"\nsteps:    {outcome.steps}\nverdict:  {'SAT' if outcome.satisfiable else 'UNSAT'}")
+            yield from (f"\n  {number}. fire [{index}] {implication}: {{", before, "} => {", after, "}")
+    yield f"\nfinal:    {{{', '.join(sorted(outcome.final_set))}}}"
+    yield f"\nsteps:    {outcome.steps}\nverdict:  {'SAT' if outcome.satisfiable else 'UNSAT'}"
     if model is not None:
-        parts.append(f"\nmodel:    {_model_line(model)}")
-    return "".join(parts)
+        yield f"\nmodel:    {_model_line(model)}"
 
 
 def build_trace_document(
@@ -206,15 +183,15 @@ def build_trace_document(
     model: dict[str, int] | None,
     shortcut: str | None,
 ) -> SimpleNamespace:
-    """The run's ``to_json`` and ``to_text``, kept only for the traced mode
-    of ``perfbench/worker.py`` until ROADMAP item 1b.  ``horn``, ``model``
-    and ``shortcut`` are not read: they are the values that the renderers
-    derive from ``outcome`` themselves.  The worker's ``setdefault`` loop
-    over the source symbols adds nothing to ``model``, since the atom
-    table names every one of them."""
+    """The run's ``to_json`` and ``to_text`` as whole strings, kept only
+    for the traced mode of ``perfbench/worker.py`` until ROADMAP item 1b.
+    ``horn``, ``model`` and ``shortcut`` are not read: they are the values
+    that the renderers derive from ``outcome`` themselves.  The worker's
+    ``setdefault`` loop over the source symbols adds nothing to ``model``,
+    since the atom table names every one of them."""
     return SimpleNamespace(
-        to_json=lambda: _trace_json(input_text, outcome),
-        to_text=lambda: _trace_text(input_text, outcome),
+        to_json=lambda: "".join(_trace_json(input_text, outcome)),
+        to_text=lambda: "".join(_trace_text(input_text, outcome)),
     )
 
 
@@ -267,8 +244,11 @@ def _cmd_solve(args: SimpleNamespace) -> int:
 
 
 def _cmd_trace(args: SimpleNamespace) -> int:
+    # The run is written as it is rendered, so it is never held whole; a
+    # failure part-way leaves what was written before the ``error:`` line.
     text, outcome = _solved(args)
-    print((_trace_json if args.json else _trace_text)(text, outcome))
+    sys.stdout.writelines((_trace_json if args.json else _trace_text)(text, outcome))
+    print()
     return EXIT_SAT if outcome.satisfiable else EXIT_UNSAT
 
 

@@ -122,7 +122,7 @@ def test_formula_text_runs_match_the_references(phi):
 
 
 @settings(max_examples=150, deadline=None)
-@given(st.randoms(use_true_random=False))
+@given(st.integers(0, 2**32 - 1).map(random.Random))
 def test_dimacs_runs_match_the_references(rng):
     _assert_cli_matches_reference(random_dimacs_text(rng), dimacs=True)
 

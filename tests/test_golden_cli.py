@@ -171,8 +171,8 @@ json.dump([run_digest(argv, text) for argv, text in json.load(sys.stdin)], sys.s
 """
 
 
-def _cap_memory():
-    resource.setrlimit(resource.RLIMIT_AS, (MEMORY_CAP, MEMORY_CAP))
+def _cap_memory(cap=MEMORY_CAP):
+    resource.setrlimit(resource.RLIMIT_AS, (cap, cap))
 
 
 def run_digests_capped(runs):

@@ -199,6 +199,7 @@ def test_trace_reads_like_a_tuple_of_its_steps():
         trace[-len(trace) - 1]
     assert trace.fired == tuple(step.fired_index for step in steps[:-1])
     assert steps[-1].fired_index is None
+    assert trace.implications == trace.formula.implications == GOLDEN_UNSAT.implications
 
 
 def test_trace_indexing_agrees_with_iteration():
